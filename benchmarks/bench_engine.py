@@ -84,9 +84,9 @@ def test_batched_vs_per_query_throughput(small_lastfm):
         )
 
     lines.append("")
-    lines.append(f"engine stats: {engine.stats.as_dict()}")
+    lines.append(f"engine stats: {engine.stats.to_dict()}")
     write_result("engine_batched_throughput", "\n".join(lines))
-    payload["engine_stats"] = engine.stats.as_dict()
+    payload["engine_stats"] = engine.stats.to_dict()
     write_result_json("engine_batched_throughput", payload)
 
     # Acceptance: >= 3x on the serving-shaped (>= 1k queries) workloads.

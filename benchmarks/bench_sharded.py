@@ -1,27 +1,27 @@
 """Sharded serving benchmark: batched throughput across index partitions.
 
-The tentpole claim of the sharded engine is quantified here and persisted to
-``benchmarks/results/engine_sharded_throughput.json``:
+Batched throughput of every engine on one 100k-point euclidean serving
+workload, persisted to ``benchmarks/results/engine_sharded_throughput.json``:
 
-* **Sharded batched queries beat the unsharded engine.**  On a 100k-point
-  euclidean serving workload, ``ShardedEngine`` at 4 shards must answer a
-  300-query batch at **>= 2x** the throughput of the unsharded
-  ``BatchQueryEngine`` — while returning byte-identical responses.
+* **One query path.**  The unsharded ``BatchQueryEngine`` runs the same
+  bounded rank-prefix gather as the sharded engines — it is their one-shard
+  case — so its 300-query batch must take at most **1.1x** the time of
+  ``ShardedEngine`` at one shard, while every configuration returns
+  byte-identical responses.
 
-Where the win comes from: the unsharded Section 3 query materializes the
-full colliding multiset per query (tens of thousands of references on
+Where the speed comes from: a full-view Section 3 query materializes the
+whole colliding multiset (tens of thousands of references on
 candidate-heavy workloads), sorts it by rank and deduplicates it, even
 though the answer — the minimum-rank near point — is almost always decided
-within the first few hundred candidates.  The sharded engine exploits the
-exchangeable ``2^62`` rank domain instead: each shard surfaces only its
-bottom-``B`` colliding references by rank (an ``argpartition``, O(shard
-multiset)), the engine merges the per-shard prefixes into a provably
-complete global rank prefix, and the sampler's early-exit scan runs on
-that — byte-identical answers and work counters, at a fraction of the sort
-work.  On multicore hosts the per-shard gathers and (for deterministic
-samplers) whole queries additionally run on a thread pool; the numbers
-below are from whatever host runs the benchmark, so the algorithmic win is
-the floor, not the ceiling.
+within the first few hundred candidates.  The gather exploits the
+exchangeable ``2^62`` rank domain instead: each table set (the whole index,
+or each shard) surfaces only its bottom-``B`` colliding references by rank
+in O(tables × B), per-shard prefixes merge into a provably complete global
+rank prefix, and the sampler's early-exit scan runs on that — byte-identical
+answers and work counters, at a fraction of the sort work.  On multicore
+hosts the per-shard gathers and (for deterministic samplers) whole queries
+additionally run on a thread pool; the numbers below are from whatever host
+runs the benchmark.
 
 The workload is clustered (serving traffic queries near existing data):
 100k points in 400 Gaussian clusters, queries landing near cluster centers,
@@ -80,16 +80,24 @@ def _timed(callable_):
     return value, time.perf_counter() - start
 
 
-def _timed_best(callable_, repeats=2):
+def _timed_best(callable_, repeats=5):
     """Best-of-*repeats* wall time (same value every run: queries are
     deterministic).  Applied to every configuration identically, this
     filters scheduler noise on small hosts without biasing the comparison."""
-    value, best = _timed(callable_)
+    return _timed_interleaved(callable_, repeats=repeats)[0]
+
+
+def _timed_interleaved(*callables, repeats=5):
+    """Best-of-*repeats* ``(value, seconds)`` of each callable, calls
+    alternating so that every callable sees the same stretch of host noise
+    (the form a gate comparing two configurations needs)."""
+    results = [_timed(callable_) for callable_ in callables]
     for _ in range(repeats - 1):
-        again, seconds = _timed(callable_)
-        assert again == value
-        best = min(best, seconds)
-    return value, best
+        for slot, callable_ in enumerate(callables):
+            again, seconds = _timed(callable_)
+            assert again == results[slot][0]
+            results[slot] = (again, min(results[slot][1], seconds))
+    return results
 
 
 def _workload():
@@ -117,17 +125,24 @@ def _sampler(seed=17):
 
 
 def test_sharded_batched_throughput():
-    """Tentpole acceptance (PR 5): >= 2x batched-query throughput at 4 shards
-    on the 100k-point workload, byte-identical answers at every shard count."""
+    """The unsharded engine within 1.1x of sharded@1 on the 100k-point
+    workload, byte-identical answers at every shard count."""
     dataset, queries = _workload()
 
     engine, build_seconds = _timed(lambda: BatchQueryEngine.build(_sampler(), dataset))
+    one_shard, one_shard_build = _timed(
+        lambda: ShardedEngine.build(_sampler(), dataset, n_shards=1)
+    )
     engine.sample_batch(queries[:20])  # warm caches and the columnar store
-    reference, unsharded_seconds = _timed_best(lambda: engine.sample_batch(queries))
+    one_shard.sample_batch(queries[:20])
+    # The gate compares these two, so they are timed in alternation.
+    (reference, unsharded_seconds), one_shard_timing = _timed_interleaved(
+        lambda: engine.sample_batch(queries), lambda: one_shard.sample_batch(queries)
+    )
     found = sum(answer is not None for answer in reference)
     # The unsharded engine is only needed for its reference answers; drop it
-    # so the hundreds of MB it pins don't inflate allocator pressure (and
-    # worker fork images) for every configuration measured after it.
+    # so the memory it pins doesn't inflate allocator pressure (and worker
+    # fork images) for every configuration measured after it.
     del engine
     gc.collect()
 
@@ -160,11 +175,15 @@ def test_sharded_batched_throughput():
     speedups = {}
     thread_seconds = {}
     for n_shards in SHARD_COUNTS:
-        sharded, shard_build = _timed(
-            lambda: ShardedEngine.build(_sampler(), dataset, n_shards=n_shards)
-        )
-        sharded.sample_batch(queries[:20])
-        answers, sharded_seconds = _timed_best(lambda: sharded.sample_batch(queries))
+        if n_shards == 1:
+            sharded, shard_build = one_shard, one_shard_build
+            answers, sharded_seconds = one_shard_timing
+        else:
+            sharded, shard_build = _timed(
+                lambda: ShardedEngine.build(_sampler(), dataset, n_shards=n_shards)
+            )
+            sharded.sample_batch(queries[:20])
+            answers, sharded_seconds = _timed_best(lambda: sharded.sample_batch(queries))
         # The merge is exact: byte-identical answers at every shard count.
         assert answers == reference
         speedups[n_shards] = unsharded_seconds / sharded_seconds
@@ -240,8 +259,12 @@ def test_sharded_batched_throughput():
     write_result("engine_sharded_throughput", "\n".join(lines))
     write_result_json("engine_sharded_throughput", payload)
 
-    # Acceptance: >= 2x batched throughput at 4 shards.
-    assert speedups[4] >= 2.0
+    # Acceptance: the unsharded engine is the one-shard case of the same
+    # gather loop, so it keeps up with ShardedEngine at one shard.
+    assert unsharded_seconds <= thread_seconds[1] * 1.1, (
+        f"unsharded {unsharded_seconds * 1000:.1f}ms exceeds 1.1x "
+        f"thread@1 {thread_seconds[1] * 1000:.1f}ms"
+    )
     # Acceptance (PR 7, re-baselined by PR 10): with the gather core and
     # budget controller now shared, the process fleet's worker-side gather
     # plus IPC batching must stay within a bounded overhead of the thread

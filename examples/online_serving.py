@@ -75,7 +75,7 @@ def main() -> None:
         print(f"snapshot round-trip, answers identical: {original == loaded}")
         print(f"snapshot spec == serving spec: {clone.spec == nn.spec}")
 
-    stats = nn.stats()["fair"].as_dict()
+    stats = nn.stats()["fair"].to_dict()
     print("serving stats:", {k: v for k, v in stats.items() if v})
 
 

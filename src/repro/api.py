@@ -1041,7 +1041,7 @@ class FairNN:
         self._tables = tables
 
     def _new_engine(self, name: str, sampler: NeighborSampler) -> BatchQueryEngine:
-        kwargs = {}
+        engine_cls = BatchQueryEngine
         if isinstance(getattr(sampler, "tables", None), ShardedLSHTables):
             if self._spec.executor == "process":
                 from repro.engine.procpool import ProcessShardedEngine
@@ -1049,18 +1049,14 @@ class FairNN:
                 engine_cls = ProcessShardedEngine
             else:
                 engine_cls = ShardedEngine
-            # Gather-budget knobs only exist on the sharded engines.
-            kwargs["prefix_budget"] = self._spec.prefix_budget
-            kwargs["prefix_budget_cap"] = self._spec.prefix_budget_cap
-        else:
-            engine_cls = BatchQueryEngine
         return engine_cls(
             sampler,
             batch_hashing=self._spec.batch_hashing,
             coalesce_duplicates=self._spec.coalesce_duplicates,
             sampler_name=name,
             spec=self._spec if name == self.primary else self._spec.samplers[name],
-            **kwargs,
+            prefix_budget=self._spec.prefix_budget,
+            prefix_budget_cap=self._spec.prefix_budget_cap,
         )
 
     def _make_engines(self) -> None:

@@ -422,9 +422,9 @@ class LSHNeighborSampler(NeighborSampler):
     #: prefix* of the colliding view: scanning candidates in increasing rank
     #: order, the query can stop at the first near point.  Samplers that set
     #: this True must implement :meth:`sample_detailed_from_prefix`.  The
-    #: sharded serving engine uses it to gather only each shard's bottom-``B``
-    #: candidates by rank (a distributed top-k over the exchangeable rank
-    #: domain) instead of merging the full colliding multiset.
+    #: serving engines use it to gather only the bottom-``B`` candidates by
+    #: rank (per shard when sharded: a distributed top-k over the
+    #: exchangeable rank domain) instead of the full colliding multiset.
     supports_rank_prefix_scan: bool = False
 
     def sample_detailed_from_prefix(
@@ -454,8 +454,9 @@ class LSHNeighborSampler(NeighborSampler):
     #: bucket sizes (``view.table_ids`` / ``view.table_sizes`` on a
     #: :class:`~repro.engine.gather.PrefixView`).  Samplers that replay a
     #: bucket-by-bucket scan (rather than a rank-ordered one) set this True
-    #: so the sharded gather ships the metadata along; rank-ordered scanners
-    #: leave it False and keep the wire payload minimal.
+    #: so the gather ships the metadata along; rank-ordered scanners leave it
+    #: False and keep the gather (and the process executor's wire payload)
+    #: minimal.
     prefix_scan_needs_tables: bool = False
 
     def sample_k_from_prefix(
@@ -475,10 +476,10 @@ class LSHNeighborSampler(NeighborSampler):
         :meth:`~repro.core.base.NeighborSampler.sample_k` would return —
         same indices, same order — or ``None`` when the prefix cannot prove
         that (the caller then retries with a longer prefix, or falls back to
-        the merged view).  Only samplers whose ``sample_k`` is a
+        the full view).  Only samplers whose ``sample_k`` is a
         deterministic function of the colliding multiset can implement this;
         the default returns ``None`` (no k-aware prefix support), which the
-        sharded engines also use as the eligibility signal — requests with
+        engines also use as the eligibility signal — requests with
         ``k > 1`` only take the prefix path when this method is overridden.
         """
         return None

@@ -39,7 +39,7 @@ class PermutationFairSampler(LSHNeighborSampler):
 
     # The Section 3 answer is the minimum-rank near colliding point, so it is
     # determined by a rank prefix of the colliding view — the property the
-    # sharded engine's bounded per-shard gather exploits.
+    # serving engines' bounded rank-prefix gather exploits.
     supports_rank_prefix_scan = True
 
     def __init__(

@@ -10,11 +10,24 @@ make a batch of ``m`` queries much cheaper than ``m`` independent calls:
    the samplers subsequently call ``query_keys`` internally, the hash work is
    a dict lookup — hashing, the dominant per-query cost with hundreds of
    tables, is paid once per batch instead of once per query.
-2. **Uniform dispatch.**  Each request is answered through the sampler's
+2. **Bounded rank-prefix gather.**  For samplers whose answer is fixed by
+   a rank prefix of the colliding view
+   (:attr:`~repro.core.base.LSHNeighborSampler.supports_rank_prefix_scan`),
+   each query gathers only the bottom-``B`` colliding references by rank
+   (:meth:`LSHTables.colliding_view(query, limit)
+   <repro.lsh.tables.LSHTables.colliding_view>`) and the sampler certifies
+   its answer from that prefix; queries that cannot certify escalate (×2)
+   in shared widened rounds, and a
+   :class:`~repro.engine.gather.PrefixBudgetController` tunes the opening
+   ``B`` from each batch's certification profile.  Any certifying true
+   prefix yields the same bytes and counters as the full view.  This is the
+   one query path of every engine: the sharded engines run this same loop
+   and override only where gathers execute.
+3. **Uniform dispatch.**  Everything else is answered through the sampler's
    public surface (``sample_detailed`` for single draws, ``sample_k`` for
    multi-draws), so every structure in :mod:`repro.core` — fair or baseline —
    can sit behind the engine unchanged.
-3. **Mutation coalescing.**  ``insert``/``delete`` are forwarded to the
+4. **Mutation coalescing.**  ``insert``/``delete`` are forwarded to the
    attached :class:`~repro.engine.dynamic.DynamicLSHTables` and the sampler
    is re-synchronized lazily, once per batch: the tables' accumulated
    :class:`~repro.engine.dynamic.MutationDelta` is drained through
@@ -31,10 +44,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.base import LSHNeighborSampler, NeighborSampler
 from repro.engine.dynamic import DynamicLSHTables
+from repro.engine.gather import PrefixBudgetController, PrefixView
 from repro.engine.requests import EngineStats, QueryRequest, QueryResponse
 from repro.exceptions import (
     AlreadyDeletedError,
@@ -121,6 +135,23 @@ def build_tables(
     return tables, list(dataset)
 
 
+class _LazyKeys(dict):
+    """Per-position bucket keys of a batch, hashed on first use.
+
+    Stands in for the batch-hashed key lists when batch hashing was skipped,
+    so only the queries that actually gather or prime pay for hashing.
+    """
+
+    def __init__(self, tables: LSHTables, requests: Sequence[QueryRequest]):
+        super().__init__()
+        self._tables = tables
+        self._requests = requests
+
+    def __missing__(self, position: int) -> List[Hashable]:
+        keys = self[position] = self._tables.query_keys(self._requests[position].query)
+        return keys
+
+
 class BatchQueryEngine:
     """Serve sampling queries in batches over one fitted sampler.
 
@@ -145,7 +176,17 @@ class BatchQueryEngine:
         never reads it — but :func:`~repro.engine.snapshot.save_engine`
         persists it in the snapshot manifest (format v3) so artifacts stay
         self-describing.
+    prefix_budget, prefix_budget_cap:
+        Floor (and deterministic start) of the self-tuning rank-prefix
+        gather budget, and the ceiling it may widen to (see
+        :class:`~repro.engine.gather.PrefixBudgetController`).  ``None``
+        keeps the defaults (128 and 4096).
     """
+
+    #: Default floor of the self-tuning prefix budget (``prefix_budget``).
+    _PREFIX_LIMIT = 128
+    #: Default ceiling of the self-tuning budget (``prefix_budget_cap``).
+    _PREFIX_HINT_MAX = 4096
 
     def __init__(
         self,
@@ -154,6 +195,8 @@ class BatchQueryEngine:
         coalesce_duplicates: bool = True,
         sampler_name: Optional[str] = None,
         spec=None,
+        prefix_budget: Optional[int] = None,
+        prefix_budget_cap: Optional[int] = None,
     ):
         if not getattr(sampler, "_fitted", False):
             raise NotFittedError("BatchQueryEngine requires a fitted (or attached) sampler")
@@ -176,14 +219,21 @@ class BatchQueryEngine:
         # race notify_update.  Reentrant because a sync may itself trigger
         # compaction paths that re-enter engine accounting.
         self._mutate_lock = threading.RLock()
-        # Guards lifetime-counter accumulation in run(); subclasses answering
-        # on worker threads share it for their own counter updates.
+        # Guards lifetime-counter accumulation in run() and the budget
+        # controller's moves: concurrent batches of query-deterministic
+        # samplers share both, and answer workers update the counters.
         self._stats_lock = threading.Lock()
         # Samplers with query-time randomness share one RNG stream, which is
         # not safe (or meaningful) to advance from concurrent batches; their
         # batches execute serially.  Query-deterministic samplers run
         # concurrent batches freely.
         self._serial_run_lock = threading.Lock()
+        # The self-tuning gather budget.  Deterministic: it starts at the
+        # floor and every move is a function of the batch stream alone.
+        self._budget = PrefixBudgetController(
+            floor=self._PREFIX_LIMIT if prefix_budget is None else int(prefix_budget),
+            cap=self._PREFIX_HINT_MAX if prefix_budget_cap is None else int(prefix_budget_cap),
+        )
 
     # ------------------------------------------------------------------
     # Construction convenience
@@ -255,6 +305,9 @@ class BatchQueryEngine:
                 self.stats.store_cache_hits = int(cache["hits"])
                 self.stats.store_cache_misses = int(cache["misses"])
                 self.stats.store_bytes_fetched = int(cache["bytes_fetched"])
+        # Likewise the live tuned opening budget of the prefix gather, so
+        # operators can watch the controller settle and probe down.
+        self.stats.prefix_budget = self._budget.limit
         payload = {
             "sampler": self.sampler_name,
             "sampler_class": type(self.sampler).__name__,
@@ -497,16 +550,269 @@ class BatchQueryEngine:
         """Convenience wrapper: one single-draw sample index per query."""
         return [response.index for response in self.run(list(queries))]
 
+    def _use_prefix_scan(self) -> bool:
+        tables = self.tables
+        return (
+            getattr(self.sampler, "supports_rank_prefix_scan", False)
+            and tables is not None
+            and tables.ranks is not None
+        )
+
+    def _prefix_eligible(self, request: QueryRequest) -> bool:
+        """Whether *request* can be served from the rank-prefix gather.
+
+        Single draws always are (the ``sample_detailed_from_prefix``
+        contract); multi-draw requests only when the sampler actually
+        overrides :meth:`~repro.core.base.LSHNeighborSampler.
+        sample_k_from_prefix` — the base refusal would force a pointless
+        escalate-to-complete loop per query otherwise.
+        """
+        if request.k == 1:
+            return True
+        base = LSHNeighborSampler.sample_k_from_prefix
+        return getattr(type(self.sampler), "sample_k_from_prefix", base) is not base
+
     def _execute(self, distinct, keys_per_query) -> List[QueryResponse]:
         """Answer the batch's distinct requests, in order.
 
         *keys_per_query* holds the pre-hashed per-table bucket keys of each
-        distinct query (``None`` when batch hashing was skipped).  The base
-        implementation answers serially; the sharded engine overrides this
-        to fan candidate gathering — and, for query-deterministic samplers,
-        whole queries — out over its worker pool.
+        distinct query (``None`` when batch hashing was skipped; keys are
+        then hashed on first use).  One prefix decision per batch:
+        capability (sampler + rank-built tables) gated by the controller's
+        regime call — on workloads whose certifying depth the controller has
+        seen blow past the cap, whole batches skip straight to the full
+        view, with periodic probes.  Prefix-eligible requests are answered
+        from the bounded gather; the rest through :meth:`_answer`.
         """
-        return [self._answer(position, request) for position, request in enumerate(distinct)]
+        tables = self.tables
+        positions: List[int] = []
+        attempt = False
+        if self._use_prefix_scan():
+            with self._stats_lock:
+                attempt = self._budget.attempt_prefix()
+        if attempt:
+            positions = [
+                position
+                for position, request in enumerate(distinct)
+                if self._prefix_eligible(request)
+            ]
+        if keys_per_query is None and tables is not None:
+            keys_per_query = _LazyKeys(tables, distinct)
+        elif positions:
+            # The gathers read their batch-hashed keys directly: each one is
+            # a hashing pass batching avoided, like a primed-cache hit.
+            with self._stats_lock:
+                self.stats.key_cache_hits += len(positions)
+        prefix = set(positions)
+        fallback = [position for position in range(len(distinct)) if position not in prefix]
+        merges_before = getattr(tables, "merged_buckets", 0)
+        try:
+            if fallback and tables is not None:
+                self._prime(keys_per_query, fallback)
+            return self._answer_all(distinct, keys_per_query, positions)
+        finally:
+            # Sharded tables count the cross-shard bucket merges the batch
+            # caused — the primed ones plus any answer-phase stragglers.
+            merges = getattr(tables, "merged_buckets", 0) - merges_before
+            if merges:
+                with self._stats_lock:
+                    self.stats.shard_merges += merges
+            self._after_batch()
+
+    # ------------------------------------------------------------------
+    # Fan-out hooks (the sharded engines override these)
+    # ------------------------------------------------------------------
+    def _prime(self, keys_per_query, positions: Sequence[int]) -> None:
+        """Materialize what answering *positions* off the prefix path needs.
+
+        Unsharded tables answer straight from their buckets: nothing to do.
+        """
+
+    def _gather_prefixes(
+        self, positions: Sequence[int], keys_per_query, limit: int
+    ) -> Dict[int, PrefixView]:
+        """Gather rank prefixes for *positions* at total budget *limit*.
+
+        *keys_per_query* is anything indexable by position (the batch list,
+        or a per-escalation dict).
+        """
+        gather = self._prefix_gatherer(keys_per_query, limit)
+        return {position: gather(position) for position in positions}
+
+    def _prefix_gatherer(self, keys_per_query, limit: int):
+        """``position -> PrefixView`` at total budget *limit*."""
+        colliding_view = self.tables.colliding_view
+        with_tables = getattr(self.sampler, "prefix_scan_needs_tables", False)
+        return lambda position: colliding_view(
+            None, limit, keys_per_query[position], with_tables
+        )
+
+    def _answer_parallel(
+        self, distinct: Sequence[QueryRequest], positions: List[int]
+    ) -> Dict[int, QueryResponse]:
+        """Answer *positions* of a query-deterministic sampler out of order.
+
+        Returns the responses it produced; the rest answer serially in batch
+        order.  The unsharded engine has no pool, so it produces none.
+        """
+        return {}
+
+    def _after_batch(self) -> None:
+        """Post-batch accounting hook (the process executor syncs IPC stats)."""
+
+    # ------------------------------------------------------------------
+    # The prefix/certify/escalate loop
+    # ------------------------------------------------------------------
+    def _answer_all(
+        self,
+        distinct: Sequence[QueryRequest],
+        keys_per_query,
+        positions: List[int],
+    ) -> List[QueryResponse]:
+        views: Dict[int, PrefixView] = {}
+        answered: Dict[int, QueryResponse] = {}
+        start_limit = self._budget.limit
+        deterministic = getattr(self.sampler, "deterministic_queries", False)
+        if positions:
+            views = self._gather_prefixes(positions, keys_per_query, start_limit)
+            if deterministic:
+                answered = self._answer_prefixes_batched(
+                    positions, distinct, keys_per_query, views, start_limit
+                )
+                views = {}
+        fallback = [
+            position
+            for position in range(len(distinct))
+            if position not in answered and position not in views
+        ]
+        if deterministic and len(fallback) > 1:
+            # No query-time randomness: each answer is independent of the
+            # others, so answering out of order changes no byte or counter.
+            answered.update(self._answer_parallel(distinct, fallback))
+        # Everything left answers serially, in batch order: the gathers
+        # above are RNG-free and the batched/parallel paths only ran for
+        # samplers without query-time randomness, so this is the first point
+        # any sampler RNG advances.
+        return [
+            answered[position]
+            if position in answered
+            else self._answer_prefix(
+                position, request, keys_per_query[position], views[position], start_limit
+            )
+            if position in views
+            else self._answer(position, request)
+            for position, request in enumerate(distinct)
+        ]
+
+    def _certify_prefix(
+        self, position: int, request: QueryRequest, view: PrefixView
+    ) -> Optional[QueryResponse]:
+        """One certification attempt of *request* against a gathered prefix.
+
+        Dispatches on ``k``: single draws through
+        ``sample_detailed_from_prefix`` (full per-query work counters in the
+        response, exactly like the full-view detailed path), multi-draw
+        requests through ``sample_k_from_prefix`` (indices-only response,
+        exactly like the ``sample_k`` path).  Returns ``None`` when the
+        sampler refuses to certify from this prefix.
+        """
+        if request.k == 1:
+            result = self.sampler.sample_detailed_from_prefix(
+                request.query, view, view.complete, exclude_index=request.exclude_index
+            )
+            if result is None:
+                return None
+            return self._detailed_response(position, result)
+        indices = self.sampler.sample_k_from_prefix(
+            request.query, view, view.complete, request.k, replacement=request.replacement
+        )
+        if indices is None:
+            return None
+        return QueryResponse(
+            request_index=position,
+            indices=[int(i) for i in indices],
+            sampler=self.sampler_name,
+        )
+
+    def _answer_prefixes_batched(
+        self,
+        positions: Sequence[int],
+        distinct: Sequence[QueryRequest],
+        keys_per_query,
+        views: Dict[int, PrefixView],
+        start_limit: int,
+    ) -> Dict[int, QueryResponse]:
+        """Escalate whole *rounds* instead of one gather per query.
+
+        Only valid for samplers without query-time randomness: their answers
+        are pure functions of the (provably exact) prefix view, so queries
+        can be certified out of batch order and every query that refuses to
+        certify at the current limit joins one shared widened gather round
+        (×2 budget).  A position whose *complete* view still would not
+        certify is left out of the result and takes the full-view fallback
+        in batch order.  The batch's per-round certification profile feeds
+        the budget controller.
+        """
+        answered: Dict[int, QueryResponse] = {}
+        pending = list(positions)
+        limit = start_limit
+        certified_per_round: List[Tuple[int, int]] = []
+        scans = 1
+        while pending:
+            failed: List[int] = []
+            certified = 0
+            for position in pending:
+                view = views[position]
+                response = self._certify_prefix(position, distinct[position], view)
+                if response is not None:
+                    certified += 1
+                    answered[position] = response
+                elif not view.complete:
+                    failed.append(position)
+                # else: complete view refused — full-view fallback later.
+            with self._stats_lock:
+                self.stats.prefix_scans += certified
+                self.stats.prefix_escalations += certified * (scans - 1)
+            certified_per_round.append((limit, certified))
+            if not failed:
+                break
+            limit *= 2
+            scans += 1
+            views.update(self._gather_prefixes(failed, keys_per_query, limit))
+            pending = failed
+        with self._stats_lock:
+            self._budget.observe_batch(certified_per_round, start_limit)
+        return answered
+
+    def _answer_prefix(
+        self,
+        position: int,
+        request: QueryRequest,
+        keys: List[Hashable],
+        view: PrefixView,
+        start_limit: int,
+    ) -> QueryResponse:
+        """Serial prefix loop for one query (samplers with query-time RNG)."""
+        limit = start_limit
+        scans = 1
+        while True:
+            response = self._certify_prefix(position, request, view)
+            if response is not None:
+                with self._stats_lock:
+                    self.stats.prefix_scans += 1
+                    self.stats.prefix_escalations += scans - 1
+                    if scans > 1:
+                        self._budget.observe_escalation(limit)
+                return response
+            if view.complete:
+                # Even the full view would not certify (a prefix-capable
+                # sampler keeping the base refusal): take the full-view
+                # fallback rather than escalating forever.
+                break
+            limit *= 2
+            scans += 1
+            view = self._gather_prefixes([position], {position: keys}, limit)[position]
+        return self._answer(position, request)
 
     def _answer(self, position: int, request: QueryRequest) -> QueryResponse:
         if request.k == 1:
@@ -530,16 +836,19 @@ class BatchQueryEngine:
                 result = self.sampler.sample_detailed(
                     request.query, exclude_index=request.exclude_index
                 )
-            return QueryResponse(
-                request_index=position,
-                indices=[] if result.index is None else [int(result.index)],
-                value=result.value,
-                stats=result.stats,
-                sampler=self.sampler_name,
-            )
+            return self._detailed_response(position, result)
         indices = self.sampler.sample_k(request.query, request.k, replacement=request.replacement)
         return QueryResponse(
             request_index=position,
             indices=[int(i) for i in indices],
+            sampler=self.sampler_name,
+        )
+
+    def _detailed_response(self, position: int, result) -> QueryResponse:
+        return QueryResponse(
+            request_index=position,
+            indices=[] if result.index is None else [int(result.index)],
+            value=result.value,
+            stats=result.stats,
             sampler=self.sampler_name,
         )

@@ -1,12 +1,14 @@
-"""The shared bounded-gather core of sharded serving.
+"""The bounded rank-prefix gather: the one query path of every engine.
 
-Both sharded executors — the thread pool (:class:`~repro.engine.sharded.
-ShardedEngine`) and the process pool (:class:`~repro.engine.procpool.
-ProcessShardedEngine`) — answer prefix-capable queries from the same three
-primitives, defined once here:
+Every serving engine — unsharded (:class:`~repro.engine.batch.
+BatchQueryEngine`, a one-shard engine over a plain
+:class:`~repro.engine.dynamic.DynamicLSHTables`), the thread pool
+(:class:`~repro.engine.sharded.ShardedEngine`) and the process pool
+(:class:`~repro.engine.procpool.ProcessShardedEngine`) — answers
+prefix-capable queries from the same three primitives, defined once here:
 
-* :func:`bounded_shard_prefix` — one shard's bottom-``B``-by-rank slice of
-  its colliding multiset, computed in O(tables × B) by exploiting the
+* :func:`bounded_shard_prefix` — one table set's bottom-``B``-by-rank slice
+  of its colliding multiset, computed in O(tables × B) by exploiting the
   :class:`~repro.lsh.tables.Bucket` invariant that ranked buckets are stored
   sorted ascending by rank (each bucket's bottom-``B`` is a plain slice, and
   the final ``argpartition`` runs over at most ``l × B`` pre-cut entries
@@ -15,8 +17,12 @@ primitives, defined once here:
   reference ranked strictly below the lowest truncation boundary is present
   in some part, so cutting the concatenated multiset at that boundary yields
   a **true rank prefix** of the full colliding view.  The returned
-  :class:`PrefixView` carries the certification flag the samplers use to
+  :class:`PrefixView` carries the completeness flag the samplers use to
   decide whether their answer is provable from the prefix alone.
+  :meth:`LSHTables.colliding_view <repro.lsh.tables.LSHTables.
+  colliding_view>` is these two calls over one part (one part per shard for
+  :class:`~repro.engine.sharded.ShardedLSHTables`); with no limit it is the
+  full view.
 * :class:`PrefixBudgetController` — the self-tuning gather budget: batches
   open at the smallest limit that certified ~7/8 of the previous batch
   (outliers escalate in cheap shared rounds instead of inflating every
@@ -24,7 +30,7 @@ primitives, defined once here:
   immediately, and every fourth tuned batch probes down regardless so
   long-running serving tracks workload drift back *down* as well as up.
   Every move is a deterministic, order-insensitive function of the per-round
-  certification counts, so both executors produce the **same budget
+  certification counts, so every engine produces the **same budget
   sequence** for the same batch stream.
 
 The merge's correctness rests on the rank domain being exchangeable: ranks
@@ -68,15 +74,18 @@ _MIN_PER_SHARD = 32
 class PrefixView(tuple):
     """A rank-sorted candidate prefix, unpackable as ``(ranks, indices)``.
 
-    Subclasses :class:`tuple` so every existing consumer of the bare
-    ``(ranks, indices)`` view shape keeps working unchanged; the optional
-    per-table metadata rides along as attributes:
+    Subclasses :class:`tuple` so every consumer of the bare ``(ranks,
+    indices)`` view shape works unchanged; the completeness flag and the
+    optional per-table metadata ride along as attributes:
 
     Attributes
     ----------
     ranks, indices:
         The rank-sorted (ascending) candidate multiset — a true rank prefix
         of the full colliding view.
+    complete:
+        Whether nothing was truncated, i.e. the view *is* the full
+        colliding view.
     table_ids:
         Per-reference probing table index (aligned with ``indices``), or
         ``None`` when the gather ran without table metadata.
@@ -88,6 +97,7 @@ class PrefixView(tuple):
 
     ranks: np.ndarray
     indices: np.ndarray
+    complete: bool
     table_ids: Optional[np.ndarray]
     table_sizes: Optional[np.ndarray]
 
@@ -97,10 +107,12 @@ class PrefixView(tuple):
         indices: np.ndarray,
         table_ids: Optional[np.ndarray] = None,
         table_sizes: Optional[np.ndarray] = None,
+        complete: bool = True,
     ) -> "PrefixView":
         view = super().__new__(cls, (ranks, indices))
         view.ranks = ranks
         view.indices = indices
+        view.complete = complete
         view.table_ids = table_ids
         view.table_sizes = table_sizes
         return view
@@ -116,13 +128,18 @@ class PrefixView(tuple):
         )
 
 
-def bounded_shard_prefix(shard, keys, limit: int, with_tables: bool = False):
-    """One shard's contribution to a bounded rank-prefix gather.
+def bounded_shard_prefix(
+    shard, keys, limit: Optional[int], with_tables: bool = False
+):
+    """One table set's contribution to a bounded rank-prefix gather.
 
-    Returns the bottom-*limit* of the shard's liveness-filtered colliding
-    multiset by rank as ``(local_indices, ranks, boundary)`` — ``boundary``
-    is ``None`` when nothing was truncated, and the whole return is ``None``
-    when the shard holds no colliding references.  With ``with_tables`` the
+    *shard* is any rank-built :class:`~repro.lsh.tables.LSHTables` — a
+    shard of a sharded index, or a whole unsharded one.  Returns the
+    bottom-*limit* of its liveness-filtered colliding multiset by rank as
+    ``(local_indices, ranks, boundary)`` — ``boundary`` is ``None`` when
+    nothing was truncated (always so for ``limit=None``, which keeps the
+    whole multiset), and the whole return is ``None`` when the table set
+    holds no colliding references.  With ``with_tables`` the
     tuple grows to ``(local_indices, ranks, boundary, table_ids,
     table_sizes)`` where ``table_sizes[t]`` is the full liveness-filtered
     size of the shard's bucket in table ``t`` (before any truncation).
@@ -143,7 +160,7 @@ def bounded_shard_prefix(shard, keys, limit: int, with_tables: bool = False):
     downward-closed set of ranks, which is what makes the per-bucket
     completeness accounting of ``with_tables`` sound.
     """
-    alive = shard._alive if shard._pending else None
+    alive = shard._alive if getattr(shard, "_pending", None) else None
     shard_ranks: List[np.ndarray] = []
     shard_indices: List[np.ndarray] = []
     shard_tables: List[np.ndarray] = []
@@ -164,7 +181,7 @@ def bounded_shard_prefix(shard, keys, limit: int, with_tables: bool = False):
                     continue
         if with_tables:
             table_sizes[table_index] = ranks.size
-        if ranks.size > limit:
+        if limit is not None and ranks.size > limit:
             truncated = True
             ranks = ranks[:limit]
             indices = indices[:limit]
@@ -184,7 +201,7 @@ def bounded_shard_prefix(shard, keys, limit: int, with_tables: bool = False):
             np.concatenate(shard_tables) if len(shard_tables) > 1 else shard_tables[0]
         )
     boundary = None
-    if ranks.size > limit:
+    if limit is not None and ranks.size > limit:
         keep = np.argpartition(ranks, limit - 1)[:limit]
         ranks = ranks[keep]
         locals_ = locals_[keep]
@@ -203,24 +220,25 @@ def bounded_shard_prefix(shard, keys, limit: int, with_tables: bool = False):
 
 def merge_prefix_parts(
     shard_parts: Sequence[Tuple[int, tuple]],
-    globals_of: Callable[[int], np.ndarray],
+    globals_of: Optional[Callable[[int], np.ndarray]],
     num_tables: Optional[int] = None,
-) -> Tuple[PrefixView, bool]:
+) -> PrefixView:
     """Merge per-shard gather parts into a certified global rank prefix.
 
     *shard_parts* is ``[(shard_index, part), ...]`` with each part as
     produced by :func:`bounded_shard_prefix` (non-``None``); *globals_of*
-    maps a shard index to its local→global slot translation array.  Pass
+    maps a shard index to its local→global slot translation array
+    (``None``: the parts already hold global indices).  Pass
     *num_tables* iff the parts carry table metadata (``with_tables``) — a
     shard absent from *shard_parts* held no colliding references, so it
     contributes zero to every table size.
 
-    Returns ``(view, complete)``: references at the lowest truncation
-    boundary rank itself may be missing from other truncated shards, so the
-    merged multiset is cut strictly below it, after which every surviving
-    reference is provably present — the view is a true global rank prefix,
-    restored to ascending rank order by a stable sort.  ``complete`` means
-    no shard truncated and the view *is* the full colliding view.
+    References at the lowest truncation boundary rank itself may be missing
+    from other truncated shards, so the merged multiset is cut strictly
+    below it, after which every surviving reference is provably present —
+    the returned view is a true global rank prefix, restored to ascending
+    rank order by a stable sort.  Its ``complete`` flag means no shard
+    truncated and the view *is* the full colliding view.
     """
     rank_parts: List[np.ndarray] = []
     index_parts: List[np.ndarray] = []
@@ -236,12 +254,14 @@ def merge_prefix_parts(
                 shard_boundary if boundary is None else min(boundary, shard_boundary)
             )
         rank_parts.append(ranks)
-        index_parts.append(globals_of(shard_index)[locals_])
+        index_parts.append(
+            locals_ if globals_of is None else globals_of(shard_index)[locals_]
+        )
         if num_tables is not None:
             tid_parts.append(part[3])
             sizes_total += part[4]
     if not rank_parts:
-        return PrefixView.empty(num_tables), True
+        return PrefixView.empty(num_tables)
     ranks = np.concatenate(rank_parts) if len(rank_parts) > 1 else rank_parts[0]
     indices = np.concatenate(index_parts) if len(index_parts) > 1 else index_parts[0]
     table_ids = None
@@ -255,13 +275,13 @@ def merge_prefix_parts(
         if table_ids is not None:
             table_ids = table_ids[keep]
     order = np.argsort(ranks, kind="stable")
-    view = PrefixView(
+    return PrefixView(
         ranks[order],
         indices[order],
         table_ids=None if table_ids is None else table_ids[order],
         table_sizes=sizes_total,
+        complete=complete,
     )
-    return view, complete
 
 
 def split_budget(limit: int, n_fitted: int, floor: int = _MIN_PER_SHARD) -> int:
@@ -306,8 +326,9 @@ class PrefixBudgetController:
     reversible under workload drift.
 
     Every move is a deterministic function of per-round ``(limit,
-    certified_count)`` pairs — counts, not orderings — so thread and process
-    executors produce identical budget sequences for the same batch stream.
+    certified_count)`` pairs — counts, not orderings — so every engine
+    (unsharded, thread or process executor) produces the same budget
+    sequence for the same batch stream.
     The state is injectable (*start*) and observable (:meth:`state_dict`)
     for the cross-executor equivalence tests.
     """

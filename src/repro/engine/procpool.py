@@ -24,8 +24,8 @@ identical thresholds).
 
 **Why answers stay byte-identical.**  Worker gathers run the exact shared
 per-shard computation (:func:`repro.engine.gather.bounded_shard_prefix` —
-the same function :meth:`ShardedLSHTables.colliding_prefix_view
-<repro.engine.sharded.ShardedLSHTables.colliding_prefix_view>` runs locally)
+the same function :meth:`ShardedLSHTables.colliding_view
+<repro.lsh.tables.LSHTables.colliding_view>` runs locally)
 and the parent merges them with the shared boundary/cut/sort code
 (:func:`repro.engine.gather.merge_prefix_parts`), so every gathered view is
 a *true rank prefix* of the full colliding view.  Prefix-certifying
@@ -35,7 +35,7 @@ sample_k_from_prefix`) refuse to answer unless their scan provably fits the
 prefix — therefore *any* true prefix that certifies yields the same result
 and the same per-query counters, whatever gather budget produced it.  The
 whole prefix/certify/escalate loop, including the self-tuning budget
-controller, lives in :class:`~repro.engine.sharded.ShardedEngine` and
+controller, lives in :class:`~repro.engine.batch.BatchQueryEngine` and
 :mod:`repro.engine.gather`; this engine only overrides *where* gathers and
 bucket fetches execute.  Non-prefix work (multi-draw requests of samplers
 without a k-aware prefix form, samplers without prefix support) runs on the
@@ -205,7 +205,7 @@ def _apply_op(shard: DynamicLSHTables, op: str, args: tuple) -> None:
 
 # The per-shard bounded gather itself lives in repro.engine.gather
 # (bounded_shard_prefix) — shared verbatim with the thread executor's local
-# colliding_prefix_view, so worker replies are byte-identical to local parts
+# colliding_view, so worker replies are byte-identical to local parts
 # by construction.
 
 
@@ -749,8 +749,8 @@ class ProcessShardedEngine(ShardedEngine):
     Request flow per batch: prefix-eligible queries are gathered in **one**
     ``QUERY`` round trip per worker (the whole batch in one frame — IPC cost
     amortizes across the batch) and certified by the *shared*
-    prefix/certify/escalate loop of :class:`~repro.engine.sharded.
-    ShardedEngine` — shared widened rounds for RNG-free samplers, serial
+    prefix/certify/escalate loop of :class:`~repro.engine.batch.
+    BatchQueryEngine` — shared widened rounds for RNG-free samplers, serial
     batch-order answering otherwise, the same
     :class:`~repro.engine.gather.PrefixBudgetController` tuning the opening
     budget.  Everything else answers on the parent from merged buckets
@@ -901,11 +901,11 @@ class ProcessShardedEngine(ShardedEngine):
         positions: Sequence[int],
         keys_per_query,
         limit: int,
-    ) -> Dict[int, Tuple[PrefixView, bool]]:
+    ) -> Dict[int, PrefixView]:
         """One ``QUERY`` round gathering rank prefixes at global budget *limit*.
 
-        The worker-backed override of :meth:`ShardedEngine._gather_prefixes
-        <repro.engine.sharded.ShardedEngine._gather_prefixes>`: the same
+        The worker-backed override of :meth:`BatchQueryEngine._gather_prefixes
+        <repro.engine.batch.BatchQueryEngine._gather_prefixes>`: the same
         :func:`~repro.engine.gather.split_budget` split across fitted shards
         (each worker surfaces its bottom-``limit/n`` by rank via the shared
         :func:`~repro.engine.gather.bounded_shard_prefix`), one broadcast
@@ -919,10 +919,10 @@ class ProcessShardedEngine(ShardedEngine):
         tables: ShardedLSHTables = self.tables
         fitted = tables._fitted_shards()
         with_tables = getattr(self.sampler, "prefix_scan_needs_tables", False)
-        views: Dict[int, Tuple[PrefixView, bool]] = {}
+        views: Dict[int, PrefixView] = {}
         if not fitted:
             empty = PrefixView.empty(tables.l if with_tables else None)
-            return {position: (empty, True) for position in positions}
+            return {position: empty for position in positions}
         per_shard = split_budget(limit, len(fitted))
         frame = {
             "type": "QUERY",
@@ -1015,11 +1015,12 @@ class ProcessShardedEngine(ShardedEngine):
     # ------------------------------------------------------------------
     # The batch loop itself — prefix eligibility, shared-round escalation,
     # budget retuning, serial batch-order answering for RNG samplers — is
-    # ShardedEngine's, unchanged.  Only the two executor hooks differ: how
-    # merged buckets are primed, and what syncs after a batch.
+    # BatchQueryEngine's, unchanged.  Only the executor hooks differ: where
+    # gathers run (above), how merged buckets are primed, and what syncs
+    # after a batch.
 
-    def _prime(self, to_prime: List[List[Hashable]]) -> None:
-        self._prime_via_workers(to_prime)
+    def _prime(self, keys_per_query, positions: Sequence[int]) -> None:
+        self._prime_via_workers([keys_per_query[position] for position in positions])
 
     def _after_batch(self) -> None:
         self._sync_worker_stats()

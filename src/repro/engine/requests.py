@@ -137,8 +137,9 @@ class EngineStats:
         ``candidates_scanned`` — the ratio is the counter the perf-guard CI
         job watches.
     key_cache_hits:
-        Query-key lookups served from the primed hash cache (each hit is an
-        ``L``-table hashing pass that batching avoided).
+        Query-key lookups served from the batch's pre-hashed keys — the
+        primed hash cache, or handed straight to the rank-prefix gather
+        (each hit is an ``L``-table hashing pass that batching avoided).
     coalesced_queries:
         Duplicate requests answered from an identical request in the same
         batch (exact for query-deterministic samplers).
@@ -155,9 +156,9 @@ class EngineStats:
         once; repeats hit the merged-bucket cache).  Deterministic for a
         seeded workload — the counter the perf-guard CI job pins.
     prefix_scans, prefix_escalations:
-        Rank-prefix candidate merges served by a sharded engine (bounded
-        bottom-``B``-by-rank gathers instead of full multiset merges) and
-        the retries where the prefix proved too short and was widened.
+        Queries answered from a bounded bottom-``B``-by-rank gather instead
+        of the full colliding view, and the retries where the prefix proved
+        too short and was widened.
     worker_restarts:
         Shard worker processes restarted by the
         :class:`~repro.engine.procpool.WorkerSupervisor` after a crash or
@@ -175,11 +176,10 @@ class EngineStats:
         so they always equal the store's own
         :meth:`~repro.store.base.DatasetStore.cache_stats` numbers.
     prefix_budget:
-        Mirror of the sharded engines' live self-tuned opening prefix
-        budget (the total bottom-by-rank references a batch's first gather
-        requests, before any per-query escalation).  Refreshed — overwritten,
-        not accumulated — every time a sharded engine reports stats; 0 for
-        unsharded engines.
+        Mirror of the engine's live self-tuned opening prefix budget (the
+        total bottom-by-rank references a batch's first gather requests,
+        before any per-query escalation).  Refreshed — overwritten, not
+        accumulated — every time the engine reports stats.
     """
 
     queries_served: int = 0
@@ -215,10 +215,6 @@ class EngineStats:
             field_name: int(getattr(self, field_name))
             for field_name in self.__dataclass_fields__
         }
-
-    def as_dict(self) -> Dict[str, int]:
-        """Backward-compatible alias of :meth:`to_dict`."""
-        return self.to_dict()
 
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "EngineStats":

@@ -9,9 +9,10 @@ partitions, the same shape memory-pod systems use to saturate hardware:
   independent :class:`~repro.engine.dynamic.DynamicLSHTables` (deterministic
   round-robin or stable-hash placement, recorded per point), while presenting
   the **exact same table interface** one unsharded table set would:
-  ``query_buckets`` / ``colliding_view`` / ``rank_range_candidates`` return
-  merged cross-shard buckets whose contents are byte-identical to the
-  unsharded structure's.
+  ``query_buckets`` / ``rank_range_candidates`` return merged cross-shard
+  buckets whose contents are byte-identical to the unsharded structure's,
+  and ``colliding_view`` merges per-shard rank-sorted gathers into the
+  unsharded view.
 * :class:`ShardedEngine` executes query batches across the shards through a
   thread-based worker pool (``concurrent.futures``; the batched numpy
   kernels release the GIL) and merges per-shard candidates into globally
@@ -40,14 +41,10 @@ scan's early exit stays byte-identical — while the engine skips the full
 multiset merge, sort and dedupe that dominate candidate-heavy queries.  The
 gather itself — the bounded sorted-bucket per-shard slice, the certified
 merge and the self-tuning budget controller — lives in
-:mod:`repro.engine.gather` and is shared verbatim by this thread-pool
-engine and the process executor (:class:`~repro.engine.procpool.
-ProcessShardedEngine`); see that module for the cost and correctness
-arguments.  The prefix loop covers single draws
-(:meth:`~repro.core.base.LSHNeighborSampler.sample_detailed_from_prefix`)
-and, for samplers implementing
-:meth:`~repro.core.base.LSHNeighborSampler.sample_k_from_prefix`, batched
-``k``-draw requests as well.
+:mod:`repro.engine.gather`, and the loop that drives it in
+:class:`~repro.engine.batch.BatchQueryEngine`: an unsharded engine is the
+one-shard case of the same query path.  See those for the cost and
+correctness arguments.
 """
 
 from __future__ import annotations
@@ -61,16 +58,9 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.base import LSHNeighborSampler
 from repro.engine.batch import BatchQueryEngine, build_tables
 from repro.engine.dynamic import DynamicLSHTables, MutationDelta
-from repro.engine.gather import (
-    PrefixBudgetController,
-    PrefixView,
-    bounded_shard_prefix,
-    merge_prefix_parts,
-    split_budget,
-)
+from repro.engine.gather import PrefixView, bounded_shard_prefix, split_budget
 from repro.store.points import points_share_store
 from repro.engine.requests import QueryRequest, QueryResponse
 from repro.exceptions import (
@@ -653,49 +643,30 @@ class ShardedLSHTables(DynamicLSHTables):
             list(executor.map(_materialize, [chunk for chunk in chunks if chunk]))
         return self.merged_buckets - before
 
-    def colliding_prefix_view(
-        self,
-        query: Point,
-        limit: int,
-        keys: Optional[List[Hashable]] = None,
-        with_tables: bool = False,
-    ) -> Tuple[PrefixView, bool]:
-        """A rank-prefix of :meth:`colliding_view`, gathered per shard.
+    def _view_parts(self, keys: List[Hashable], limit: Optional[int], with_tables: bool):
+        """Per-shard parts of :meth:`~repro.lsh.tables.LSHTables.colliding_view`.
 
-        Each shard contributes at most *limit* colliding references — its
-        bottom-``limit`` by rank, produced in O(tables × limit) by
-        :func:`~repro.engine.gather.bounded_shard_prefix` (ranked buckets
-        are stored sorted ascending by rank, so each bucket's bottom-*limit*
-        is an O(1) slice and the final ``argpartition`` runs over the small
-        pre-cut union).  Because ranks are i.i.d. over the shared ``2^62``
-        domain, every global reference ranked strictly below the lowest
-        truncation boundary is guaranteed present, so the merge
-        (:func:`~repro.engine.gather.merge_prefix_parts`) cut at that
-        boundary is a true rank prefix of the full view.  Returns ``(view,
-        complete)`` where ``complete`` means no shard was truncated — the
-        view *is* the full colliding view.  With *with_tables* the view
-        additionally carries per-reference probing-table ids and full
-        per-table bucket sizes, for samplers that replay a bucket-by-bucket
-        scan rather than a rank-ordered one.
+        The global *limit* is split evenly across the fitted shards
+        (:func:`~repro.engine.gather.split_budget`); each shard contributes
+        its bottom slice by rank via
+        :func:`~repro.engine.gather.bounded_shard_prefix`.  Because ranks
+        are i.i.d. over the shared ``2^62`` domain, every global reference
+        ranked strictly below the lowest truncation boundary is guaranteed
+        present, so the merge cut at that boundary is a true rank prefix of
+        the full view.  Without a limit nothing is cut and the merge is the
+        full view; no merged bucket is materialized either way.
         """
-        self._check_fitted()
-        if self._ranks is None:
-            raise InvalidParameterError("tables were built without ranks; no rank-sorted view")
-        if limit < 1:
-            raise InvalidParameterError(f"limit must be >= 1, got {limit}")
-        if keys is None:
-            keys = self.query_keys(query)
-        keys = list(keys)
+        fitted = self._fitted_shards()
+        if limit is not None and fitted:
+            limit = split_budget(limit, len(fitted))
         parts: List[Tuple[int, tuple]] = []
-        for shard_index in self._fitted_shards():
+        for shard_index in fitted:
             part = bounded_shard_prefix(
                 self.shards[shard_index], keys, limit, with_tables=with_tables
             )
             if part is not None:
                 parts.append((shard_index, part))
-        return merge_prefix_parts(
-            parts, self._shard_globals, num_tables=self.l if with_tables else None
-        )
+        return parts, self._shard_globals
 
 
 class ShardedEngine(BatchQueryEngine):
@@ -710,30 +681,17 @@ class ShardedEngine(BatchQueryEngine):
     are answered serially in batch order, keeping their RNG stream — and
     therefore their outputs — byte-identical to unsharded serving.
 
-    For samplers declaring
-    :attr:`~repro.core.base.LSHNeighborSampler.supports_rank_prefix_scan`,
-    prefix-eligible requests — single draws, and multi-draw requests of
-    samplers implementing :meth:`~repro.core.base.LSHNeighborSampler.
-    sample_k_from_prefix` — are served from the bounded rank-prefix gather
-    of :mod:`repro.engine.gather` (via
-    :meth:`ShardedLSHTables.colliding_prefix_view`): each batch gathers at
-    the :class:`~repro.engine.gather.PrefixBudgetController`'s tuned global
-    budget, queries whose prefix fails to certify escalate (×2) in shared
-    widened rounds (RNG-free samplers) or per query, and the controller
-    retunes from the batch's certification profile.  Any certifying true
-    rank prefix yields the same bytes and the same per-query counters as
-    the full view, so results stay byte-identical to unsharded serving at a
-    fraction of the full merge cost.  The process executor
-    (:class:`~repro.engine.procpool.ProcessShardedEngine`) runs this exact
-    loop, overriding only how prefixes are gathered and buckets primed.
+    The prefix/certify/escalate loop is the base engine's, unchanged:
+    prefix-capable requests are served from per-shard bounded gathers
+    (:meth:`ShardedLSHTables.colliding_view` with a limit) at the shared
+    :class:`~repro.engine.gather.PrefixBudgetController`'s tuned global
+    budget, so results stay byte-identical to unsharded serving.  This
+    engine overrides only the fan-out hooks — pool-mapped gathers, merged
+    bucket priming and the parallel fallback — and the process executor
+    (:class:`~repro.engine.procpool.ProcessShardedEngine`) overrides the
+    same hooks again to run them in worker processes.
     """
 
-    #: Floor (and deterministic start) of the self-tuning global prefix
-    #: budget; overridable per engine via ``prefix_budget`` /
-    #: ``EngineSpec(prefix_budget=...)``.
-    _PREFIX_LIMIT = 128
-    #: Ceiling of the self-tuning budget (``prefix_budget_cap``).
-    _PREFIX_HINT_MAX = 4096
     #: Whether non-prefix deterministic queries are answered in parallel
     #: chunks on the thread pool.  The process executor answers them on the
     #: parent serially — merged buckets are already primed, and the serial
@@ -757,6 +715,8 @@ class ShardedEngine(BatchQueryEngine):
             coalesce_duplicates=coalesce_duplicates,
             sampler_name=sampler_name,
             spec=spec,
+            prefix_budget=prefix_budget,
+            prefix_budget_cap=prefix_budget_cap,
         )
         if not isinstance(self.tables, ShardedLSHTables):
             raise InvalidParameterError(
@@ -769,19 +729,6 @@ class ShardedEngine(BatchQueryEngine):
         self._pool = ThreadPoolExecutor(
             max_workers=self._max_workers, thread_name_prefix="repro-shard"
         )
-        # The self-tuning gather budget (shared controller semantics across
-        # executors; see repro.engine.gather).  Deterministic: it starts at
-        # the floor and every move is a function of the batch stream alone.
-        self._budget = PrefixBudgetController(
-            floor=self._PREFIX_LIMIT if prefix_budget is None else int(prefix_budget),
-            cap=(
-                self._PREFIX_HINT_MAX
-                if prefix_budget_cap is None
-                else int(prefix_budget_cap)
-            ),
-        )
-        # Per-batch prefix decision, set by _execute before any answering.
-        self._prefix_active = False
         # Counter increments made from answer workers are guarded by the
         # base engine's _stats_lock: every query contributes a fixed amount,
         # so the totals stay deterministic whatever the thread scheduling.
@@ -831,11 +778,6 @@ class ShardedEngine(BatchQueryEngine):
 
     def stats_dict(self) -> Dict:
         """Sharded serving state: the base payload plus the shard topology."""
-        with self._stats_lock:
-            # Refreshed mirror, like the store cache counters: the live
-            # tuned opening budget of the prefix gather, so operators can
-            # watch the controller settle and probe down.
-            self.stats.prefix_budget = self._budget.limit
         payload = super().stats_dict()
         tables: ShardedLSHTables = self.tables
         payload["n_shards"] = tables.n_shards
@@ -870,308 +812,46 @@ class ShardedEngine(BatchQueryEngine):
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    def _use_prefix_scan(self) -> bool:
-        tables = self.tables
-        return (
-            getattr(self.sampler, "supports_rank_prefix_scan", False)
-            and tables is not None
-            and tables.ranks is not None
+    # ------------------------------------------------------------------
+    # Fan-out hooks
+    # ------------------------------------------------------------------
+    def _prime(self, keys_per_query, positions: Sequence[int]) -> None:
+        """Materialize the merged buckets the non-prefix *positions* touch."""
+        self.tables.prime_merged_buckets(
+            [keys_per_query[position] for position in positions], executor=self._pool
         )
-
-    def _prefix_eligible(self, request: QueryRequest) -> bool:
-        """Whether *request* can be served from the rank-prefix gather.
-
-        Single draws always are (the ``sample_detailed_from_prefix``
-        contract); multi-draw requests only when the sampler actually
-        overrides :meth:`~repro.core.base.LSHNeighborSampler.
-        sample_k_from_prefix` — the base refusal would force a pointless
-        escalate-to-complete loop per query otherwise.
-        """
-        if request.k == 1:
-            return True
-        base = LSHNeighborSampler.sample_k_from_prefix
-        return getattr(type(self.sampler), "sample_k_from_prefix", base) is not base
-
-    # ------------------------------------------------------------------
-    # Batched execution
-    # ------------------------------------------------------------------
-    def _prime(self, to_prime: List[List[Hashable]]) -> None:
-        """Materialize the merged buckets *to_prime* will touch (hook)."""
-        self.tables.prime_merged_buckets(to_prime, executor=self._pool)
-
-    def _after_batch(self) -> None:
-        """Post-batch accounting hook (the process executor syncs IPC stats)."""
-
-    def _execute(
-        self,
-        distinct: Sequence[QueryRequest],
-        keys_per_query: Optional[Sequence[List[Hashable]]],
-    ) -> List[QueryResponse]:
-        tables: ShardedLSHTables = self.tables
-        if keys_per_query is None:
-            keys_per_query = [tables.query_keys(request.query) for request in distinct]
-        # Build the shared columnar store up front so answer workers never
-        # race its lazy construction.
-        tables.point_store
-        # One prefix decision per batch: capability (sampler + rank-built
-        # tables) gated by the controller's regime call — on workloads whose
-        # certifying depth the controller has seen blow past the cap, whole
-        # batches skip straight to merged buckets, with periodic probes.
-        self._prefix_active = self._use_prefix_scan() and self._budget.attempt_prefix()
-        if self._prefix_active:
-            # Prefix-eligible requests are served from the bounded per-shard
-            # prefix gather and never touch merged buckets; only the rest
-            # (e.g. multi-draw requests of samplers without a k-aware prefix
-            # form) need them materialized.
-            to_prime = [
-                keys
-                for request, keys in zip(distinct, keys_per_query)
-                if not self._prefix_eligible(request)
-            ]
-        else:
-            to_prime = list(keys_per_query)
-        merges_before = tables.merged_buckets
-        try:
-            if to_prime:
-                # Materialize those merged buckets across shards before
-                # answering; sampler lookups below then hit the cache.
-                self._prime(to_prime)
-            return self._answer_all(distinct, keys_per_query)
-        finally:
-            # Count every merge the batch caused — the primed ones plus any
-            # answer-phase stragglers (e.g. the fallback path of a prefix
-            # sampler, or re-merges after cache eviction under extreme key
-            # working sets).
-            with self._stats_lock:
-                self.stats.shard_merges += tables.merged_buckets - merges_before
-            self._after_batch()
 
     def _gather_prefixes(
-        self,
-        positions: Sequence[int],
-        keys_per_query,
-        limit: int,
-    ) -> Dict[int, Tuple[PrefixView, bool]]:
-        """Gather certified rank prefixes for *positions* at global budget *limit*.
+        self, positions: Sequence[int], keys_per_query, limit: int
+    ) -> Dict[int, PrefixView]:
+        """Fan large batches' gathers out over the worker pool.
 
-        The budget is split evenly across the fitted shards
-        (:func:`~repro.engine.gather.split_budget`), so the merged view
-        depth — and the gather work — tracks the global budget rather than
-        ``n_shards`` times it.  Per-position gathers are independent numpy
-        work (the kernels release the GIL), so large batches fan out over
-        the worker pool.  *keys_per_query* is anything indexable by
-        position (the batch list, or a per-escalation dict).
+        Per-position gathers are independent numpy work (the kernels
+        release the GIL), so they overlap on multicore hosts.
         """
-        tables: ShardedLSHTables = self.tables
-        fitted = tables._fitted_shards()
-        with_tables = getattr(self.sampler, "prefix_scan_needs_tables", False)
-        if not fitted:
-            empty = PrefixView.empty(tables.l if with_tables else None)
-            return {position: (empty, True) for position in positions}
-        per_shard = split_budget(limit, len(fitted))
-
-        def _gather(position: int) -> Tuple[PrefixView, bool]:
-            return tables.colliding_prefix_view(
-                None,
-                per_shard,
-                keys=keys_per_query[position],
-                with_tables=with_tables,
-            )
-
         if len(positions) > 8 and self._max_workers > 1:
-            return dict(zip(positions, self._pool.map(_gather, positions)))
-        return {position: _gather(position) for position in positions}
+            gather = self._prefix_gatherer(keys_per_query, limit)
+            return dict(zip(positions, self._pool.map(gather, positions)))
+        return super()._gather_prefixes(positions, keys_per_query, limit)
 
-    def _answer_all(
-        self,
-        distinct: Sequence[QueryRequest],
-        keys_per_query: Sequence[List[Hashable]],
-    ) -> List[QueryResponse]:
-        views: Dict[int, Tuple[PrefixView, bool]] = {}
-        answered: Dict[int, QueryResponse] = {}
-        start_limit = self._budget.limit
-        if self._prefix_active:
-            positions = [
-                position
-                for position, request in enumerate(distinct)
-                if self._prefix_eligible(request)
-            ]
-            if positions:
-                views = self._gather_prefixes(positions, keys_per_query, start_limit)
-                if getattr(self.sampler, "deterministic_queries", False):
-                    answered = self._answer_prefixes_batched(
-                        positions, distinct, keys_per_query, views, start_limit
-                    )
-                    views = {}
-        fallback = [
-            position
-            for position in range(len(distinct))
-            if position not in answered and position not in views
-        ]
-        if (
-            self._parallel_fallback
-            and len(fallback) > 1
-            and self._max_workers > 1
-            and getattr(self.sampler, "deterministic_queries", False)
-        ):
-            # No query-time randomness: whole non-prefix queries are
-            # answered in parallel.  Each chunk is independent, so the
-            # answers (and every per-query counter) are identical to a
-            # serial pass.
-            buffer: List[Optional[QueryResponse]] = [None] * len(distinct)
-
-            def _answer_chunk(chunk: List[int]) -> None:
-                for position in chunk:
-                    buffer[position] = BatchQueryEngine._answer(
-                        self, position, distinct[position]
-                    )
-
-            chunk_size = max(
-                1,
-                (len(fallback) + 2 * self._max_workers - 1) // (2 * self._max_workers),
-            )
-            chunks = [
-                fallback[i : i + chunk_size]
-                for i in range(0, len(fallback), chunk_size)
-            ]
-            list(self._pool.map(_answer_chunk, chunks))
-            for position in fallback:
-                answered[position] = buffer[position]
-        # Everything left answers serially, in batch order: the gathers
-        # above are RNG-free and the batched/parallel paths only ran for
-        # samplers without query-time randomness, so this is the first point
-        # any sampler RNG advances — exactly as unsharded serving orders it.
-        return [
-            answered[position]
-            if position in answered
-            else self._answer_prefix(
-                position, request, keys_per_query[position], views[position], start_limit
-            )
-            if position in views
-            else BatchQueryEngine._answer(self, position, request)
-            for position, request in enumerate(distinct)
-        ]
-
-    def _certify_prefix(
-        self,
-        position: int,
-        request: QueryRequest,
-        view: PrefixView,
-        complete: bool,
-    ) -> Optional[QueryResponse]:
-        """One certification attempt of *request* against a gathered prefix.
-
-        Dispatches on ``k``: single draws through
-        ``sample_detailed_from_prefix`` (full per-query work counters in the
-        response, exactly like the unsharded detailed path), multi-draw
-        requests through ``sample_k_from_prefix`` (indices-only response,
-        exactly like the unsharded ``sample_k`` path).  Returns ``None``
-        when the sampler refuses to certify from this prefix.
-        """
-        if request.k == 1:
-            result = self.sampler.sample_detailed_from_prefix(
-                request.query, view, complete, exclude_index=request.exclude_index
-            )
-            if result is None:
-                return None
-            return QueryResponse(
-                request_index=position,
-                indices=[] if result.index is None else [int(result.index)],
-                value=result.value,
-                stats=result.stats,
-                sampler=self.sampler_name,
-            )
-        indices = self.sampler.sample_k_from_prefix(
-            request.query, view, complete, request.k, replacement=request.replacement
-        )
-        if indices is None:
-            return None
-        return QueryResponse(
-            request_index=position,
-            indices=[int(i) for i in indices],
-            sampler=self.sampler_name,
-        )
-
-    def _answer_prefixes_batched(
-        self,
-        positions: Sequence[int],
-        distinct: Sequence[QueryRequest],
-        keys_per_query: Sequence[List[Hashable]],
-        views: Dict[int, Tuple[PrefixView, bool]],
-        start_limit: int,
+    def _answer_parallel(
+        self, distinct: Sequence[QueryRequest], positions: List[int]
     ) -> Dict[int, QueryResponse]:
-        """Escalate whole *rounds* instead of one gather per query.
+        """Answer whole non-prefix queries in parallel chunks on the pool."""
+        if not self._parallel_fallback or self._max_workers <= 1:
+            return {}
+        # Build the shared columnar store up front so answer workers never
+        # race its lazy construction.
+        self.tables.point_store
+        chunk_size = max(
+            1, (len(positions) + 2 * self._max_workers - 1) // (2 * self._max_workers)
+        )
+        chunks = [positions[i : i + chunk_size] for i in range(0, len(positions), chunk_size)]
 
-        Only valid for samplers without query-time randomness: their answers
-        are pure functions of the (provably exact) prefix view, so queries
-        can be certified out of batch order and every query that refuses to
-        certify at the current limit joins one shared widened gather round
-        (×2 budget).  A position whose *complete* view still would not
-        certify is left out of the result and takes the merged-view fallback
-        in batch order.  The batch's per-round certification profile feeds
-        the shared budget controller.
-        """
+        def _answer_chunk(chunk: List[int]) -> List[QueryResponse]:
+            return [self._answer(position, distinct[position]) for position in chunk]
+
         answered: Dict[int, QueryResponse] = {}
-        pending = list(positions)
-        limit = start_limit
-        certified_per_round: List[Tuple[int, int]] = []
-        scans = 1
-        while pending:
-            failed: List[int] = []
-            certified = 0
-            for position in pending:
-                view, complete = views[position]
-                response = self._certify_prefix(
-                    position, distinct[position], view, complete
-                )
-                if response is not None:
-                    certified += 1
-                    with self._stats_lock:
-                        self.stats.prefix_scans += 1
-                        self.stats.prefix_escalations += scans - 1
-                    answered[position] = response
-                elif not complete:
-                    failed.append(position)
-                # else: complete view refused — merged-view fallback later.
-            certified_per_round.append((limit, certified))
-            if not failed:
-                break
-            limit *= 2
-            scans += 1
-            views.update(self._gather_prefixes(failed, keys_per_query, limit))
-            pending = failed
-        self._budget.observe_batch(certified_per_round, start_limit)
+        for chunk, responses in zip(chunks, self._pool.map(_answer_chunk, chunks)):
+            answered.update(zip(chunk, responses))
         return answered
-
-    def _answer_prefix(
-        self,
-        position: int,
-        request: QueryRequest,
-        keys: List[Hashable],
-        gathered: Tuple[PrefixView, bool],
-        start_limit: int,
-    ) -> QueryResponse:
-        """Serial prefix loop for one query (samplers with query-time RNG)."""
-        view, complete = gathered
-        limit = start_limit
-        scans = 1
-        while True:
-            response = self._certify_prefix(position, request, view, complete)
-            if response is not None:
-                with self._stats_lock:
-                    self.stats.prefix_scans += 1
-                    self.stats.prefix_escalations += scans - 1
-                if scans > 1:
-                    self._budget.observe_escalation(limit)
-                return response
-            if complete:
-                # Even the full view would not certify (a prefix-capable
-                # sampler keeping the base refusal): take the merged-view
-                # fallback rather than escalating forever.
-                break
-            limit *= 2
-            scans += 1
-            view, complete = self._gather_prefixes(
-                [position], {position: keys}, limit
-            )[position]
-        return BatchQueryEngine._answer(self, position, request)

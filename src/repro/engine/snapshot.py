@@ -307,7 +307,7 @@ def save_engine(
         "use_ranks": tables._use_ranks if dynamic else (tables.ranks is not None),
         "batch_hashing": engine.batch_hashing,
         "coalesce_duplicates": engine.coalesce_duplicates,
-        "stats": engine.stats.as_dict(),
+        "stats": engine.stats.to_dict(),
     }
     if sharded:
         manifest["n_shards"] = tables.n_shards
@@ -633,6 +633,8 @@ def _load_engine(
         coalesce_duplicates=bool(manifest["coalesce_duplicates"]),
         sampler_name=manifest.get("sampler_name"),
         spec=spec,
+        prefix_budget=getattr(spec, "prefix_budget", None),
+        prefix_budget_cap=getattr(spec, "prefix_budget_cap", None),
     )
     engine.stats = EngineStats.from_dict(manifest["stats"])
     return engine

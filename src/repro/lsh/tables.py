@@ -438,33 +438,58 @@ class LSHTables:
             return np.empty(0, dtype=np.intp)
         return np.concatenate([b.indices for b in buckets])
 
-    def colliding_view(self, query: Point) -> tuple:
-        """Rank-sorted ``(ranks, indices)`` of all points colliding with *query*.
+    def colliding_view(
+        self,
+        query: Point,
+        limit: Optional[int] = None,
+        keys: Optional[List[Hashable]] = None,
+        with_tables: bool = False,
+    ):
+        """Rank-sorted ``(ranks, indices)`` of the points colliding with *query*.
 
-        The concatenation of the ``L`` colliding buckets, sorted by rank, with
-        multiplicity (a point colliding in several tables appears once per
-        table).  This is the single array pass that replaces per-bucket Python
-        loops in both the Section 4 rejection sampler and the batch engine's
-        candidate-gathering stage; consumers de-duplicate after slicing.
+        The concatenation of the ``L`` colliding buckets (live members only),
+        sorted by rank, with multiplicity (a point colliding in several
+        tables appears once per table); consumers de-duplicate after
+        slicing.  With a *limit*, only a **rank prefix** of that view is
+        gathered — the bottom-*limit* references by rank, cut strictly below
+        the truncation boundary so every reference ranked lower is provably
+        present — in O(tables × limit) instead of O(multiset) (see
+        :func:`~repro.engine.gather.bounded_shard_prefix`).  Samplers whose
+        answer is fixed by a rank prefix certify against it, and the engines
+        widen the limit when they cannot.
+
+        Returns a :class:`~repro.engine.gather.PrefixView`, which unpacks as
+        the bare ``(ranks, indices)`` tuple and whose ``complete`` flag says
+        whether the view is the whole colliding multiset.  *keys* are
+        optional pre-computed per-table bucket keys; *with_tables* attaches
+        per-reference table ids and full per-table bucket sizes, for
+        samplers that replay a bucket-by-bucket scan.
         """
+        # Deferred: repro.engine imports this module.
+        from repro.engine.gather import merge_prefix_parts
+
         self._check_fitted()
         if self._ranks is None:
             raise InvalidParameterError("tables were built without ranks; no rank-sorted view")
-        rank_parts = []
-        index_parts = []
-        # One pass, attribute access only: with hundreds of tables this loop
-        # is hot enough that Bucket.__len__ calls and empty-bucket
-        # placeholders show up in serving profiles.
-        for bucket in self.query_buckets(query):
-            if bucket.indices.size:
-                rank_parts.append(bucket.ranks)
-                index_parts.append(bucket.indices)
-        if not rank_parts:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp))
-        ranks = np.concatenate(rank_parts)
-        indices = np.concatenate(index_parts)
-        order = np.argsort(ranks, kind="stable")
-        return (ranks[order], indices[order])
+        if limit is not None and limit < 1:
+            raise InvalidParameterError(f"limit must be >= 1, got {limit}")
+        if keys is None:
+            keys = self.query_keys(query)
+        parts, globals_of = self._view_parts(keys, limit, with_tables)
+        return merge_prefix_parts(
+            parts, globals_of, num_tables=self.l if with_tables else None
+        )
+
+    def _view_parts(self, keys: List[Hashable], limit: Optional[int], with_tables: bool):
+        """The gather parts behind :meth:`colliding_view`, and their slot map.
+
+        One part over this whole table set, already in global slot indices;
+        the sharded layout overrides this with one part per shard.
+        """
+        from repro.engine.gather import bounded_shard_prefix
+
+        part = bounded_shard_prefix(self, keys, limit, with_tables=with_tables)
+        return ([] if part is None else [(0, part)]), None
 
     def rank_range_candidates(self, query: Point, lo: int, hi: int) -> np.ndarray:
         """Unique colliding indices with rank in ``[lo, hi)`` (Section 4, step 3b)."""

@@ -337,11 +337,10 @@ class EngineSpec(_JsonRoundTrip):
         snapshot.  Persisted in snapshots so checkpoints and
         :meth:`~repro.api.FairNN.recover` come back on the same tier.
     prefix_budget, prefix_budget_cap:
-        Opening total rank-prefix gather budget for sharded engines and the
+        Opening total rank-prefix gather budget of every engine and the
         ceiling the self-tuning controller may widen it to (see
         :class:`~repro.engine.gather.PrefixBudgetController`).  ``None``
-        (the default) keeps the engine defaults; ignored when
-        ``n_shards == 1``.
+        (the default) keeps the engine defaults.
     """
 
     samplers: Dict[str, SamplerSpec] = field(default_factory=dict)

@@ -1,8 +1,7 @@
 """The in-RAM columnar backend: everything resident, zero read latency.
 
 These are the original concrete stores the vectorized candidate-evaluation
-pipeline was built on (relocated here from ``repro.data.store``, which
-re-exports them compatibly under a deprecation warning):
+pipeline was built on:
 
 * **dense vector data** lives in a single C-contiguous ``float64`` matrix
   (:class:`DenseStore`), so a batch of candidate rows is one fancy-indexing

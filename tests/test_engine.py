@@ -332,7 +332,7 @@ class TestBatchQueryEngine:
         assert stats.batches_served == 2
         assert stats.candidates_scanned >= 1
         assert stats.distance_evaluations >= 1
-        assert EngineStats.from_dict(stats.as_dict()) == stats
+        assert EngineStats.from_dict(stats.to_dict()) == stats
 
     def test_live_point_count_tracks_churn(self, planted_sets):
         engine = make_engine(planted_sets["dataset"], seed=17)

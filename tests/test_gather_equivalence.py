@@ -1,7 +1,7 @@
 """The unified gather layer: primitives, budget controller, executor parity.
 
 Three layers of guarantees for :mod:`repro.engine.gather`, the rank-prefix
-core both sharded executors share:
+core every engine shares:
 
 1. **Primitive correctness** — :func:`~repro.engine.gather.
    bounded_shard_prefix` / :func:`~repro.engine.gather.merge_prefix_parts`
@@ -12,9 +12,10 @@ core both sharded executors share:
    PrefixBudgetController` is a pure, order-insensitive function of the
    per-round certification counts: injectable state, exact tuning moves,
    probe-down clock.
-3. **Executor parity** — for the same batch stream, the thread and process
-   executors return byte-identical responses *and* walk the exact same
-   controller state sequence, for single draws, ``k``-draws and the
+3. **Executor parity** — for the same batch stream, the unsharded, thread
+   and process engines return the sampler's own full-view answers byte for
+   byte, and engines gathering from the same shard layout walk the exact
+   same controller state sequence, for single draws, ``k``-draws and the
    bucket-replaying standard-LSH sampler alike.
 """
 
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.engine import BatchQueryEngine, ShardedEngine
+from repro.engine.batch import build_tables
 from repro.engine.gather import (
     PrefixBudgetController,
     PrefixView,
@@ -32,10 +34,11 @@ from repro.engine.gather import (
     split_budget,
 )
 from repro.engine.procpool import ProcessShardedEngine
-from repro.engine.requests import QueryRequest
+from repro.engine.requests import QueryRequest, QueryResponse
 from repro.exceptions import InvalidParameterError
+from repro.spec import LSHSpec, SamplerSpec
 
-from repro import MinHashFamily
+from repro import EngineSpec, FairNN, MinHashFamily
 from repro.core import StandardLSHSampler
 
 from test_sharded import SET_PARAMS, _assert_identical, _make_sampler
@@ -105,40 +108,54 @@ class TestGatherPrimitives:
                 part = bounded_shard_prefix(tables.shards[shard_index], keys, limit)
                 if part is not None:
                     parts.append((shard_index, part))
-            view, complete = merge_prefix_parts(parts, tables._shard_globals)
+            view = merge_prefix_parts(parts, tables._shard_globals)
             ranks, indices = view
             # A true prefix: byte-identical head of the full rank-sorted view.
             assert np.array_equal(ranks, full_ranks[: ranks.size])
             assert np.array_equal(indices, full_indices[: indices.size])
-            if complete:
+            if view.complete:
                 assert ranks.size == full_ranks.size
 
     def test_with_tables_metadata_accounts_per_bucket_completeness(self, hub_dataset):
-        sampler = _build_sampler("standard_lsh")
-        engine = ShardedEngine.build(sampler, hub_dataset, n_shards=3)
-        tables = engine.tables
-        query = hub_dataset[0]
-        keys = tables.query_keys(query)
-        view, complete = tables.colliding_prefix_view(
-            None, 10_000, keys=keys, with_tables=True
-        )
-        assert complete
-        # At a generous limit every bucket survives whole: the per-table
-        # reference counts must equal the recorded full bucket sizes, which
-        # in turn must equal the merged buckets' actual sizes.
-        for table_index in range(tables.num_tables):
-            in_view = int(np.count_nonzero(view.table_ids == table_index))
-            assert in_view == int(view.table_sizes[table_index])
-        truncated, complete = tables.colliding_prefix_view(
-            None, 2, keys=keys, with_tables=True
-        )
-        assert not complete
-        # Truncation may only ever *shrink* a bucket's surviving count, and
-        # the recorded full sizes must not change.
-        assert np.array_equal(truncated.table_sizes, view.table_sizes)
-        for table_index in range(tables.num_tables):
-            in_view = int(np.count_nonzero(truncated.table_ids == table_index))
-            assert in_view <= int(truncated.table_sizes[table_index])
+        for n_shards in (None, 3):
+            tables, _ = build_tables(
+                _build_sampler("standard_lsh"), hub_dataset, n_shards=n_shards
+            )
+            query = hub_dataset[0]
+            keys = tables.query_keys(query)
+            view = tables.colliding_view(None, 10_000, keys=keys, with_tables=True)
+            assert view.complete
+            # At a generous limit every bucket survives whole: the per-table
+            # reference counts must equal the recorded full bucket sizes,
+            # which in turn must equal the buckets' actual sizes.
+            buckets = tables.query_buckets(query)
+            for table_index in range(tables.num_tables):
+                in_view = int(np.count_nonzero(view.table_ids == table_index))
+                assert in_view == int(view.table_sizes[table_index])
+                assert in_view == len(buckets[table_index])
+            # Two references per table set: far below this query's multiset
+            # (a sharded view floors its per-shard split, so cut the shards
+            # directly there).
+            if n_shards is None:
+                truncated = tables.colliding_view(None, 2, keys=keys, with_tables=True)
+            else:
+                parts = []
+                for shard_index in tables._fitted_shards():
+                    part = bounded_shard_prefix(
+                        tables.shards[shard_index], keys, 2, with_tables=True
+                    )
+                    if part is not None:
+                        parts.append((shard_index, part))
+                truncated = merge_prefix_parts(
+                    parts, tables._shard_globals, num_tables=tables.num_tables
+                )
+            assert not truncated.complete
+            # Truncation may only ever *shrink* a bucket's surviving count,
+            # and the recorded full sizes must not change.
+            assert np.array_equal(truncated.table_sizes, view.table_sizes)
+            for table_index in range(tables.num_tables):
+                in_view = int(np.count_nonzero(truncated.table_ids == table_index))
+                assert in_view <= int(truncated.table_sizes[table_index])
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +260,7 @@ class TestPrefixBudgetController:
 def _batch_stream(dataset):
     """A mixed multi-batch stream: cold start, repeats, k-draws, churn-free.
 
-    Built once so both executors consume the exact same requests in the
+    Built once so every engine consumes the exact same requests in the
     exact same batch boundaries.
     """
     hub = list(dataset[:20])
@@ -256,8 +273,37 @@ def _batch_stream(dataset):
     ]
 
 
+def _reference_responses(sampler, name, batch):
+    """The sampler's own full-view answers, one direct call per request."""
+    responses = []
+    for position, request in enumerate(batch):
+        if not isinstance(request, QueryRequest):
+            request = QueryRequest(query=request)
+        if request.k == 1:
+            result = sampler.sample_detailed(request.query, exclude_index=request.exclude_index)
+            responses.append(
+                QueryResponse(
+                    request_index=position,
+                    indices=[] if result.index is None else [int(result.index)],
+                    value=result.value,
+                    stats=result.stats,
+                    sampler=name,
+                )
+            )
+        else:
+            indices = sampler.sample_k(request.query, request.k, replacement=request.replacement)
+            responses.append(
+                QueryResponse(
+                    request_index=position,
+                    indices=[int(i) for i in indices],
+                    sampler=name,
+                )
+            )
+    return responses
+
+
 class TestExecutorGatherEquivalence:
-    """Thread and process executors share one gather brain.
+    """Every engine runs one gather loop, and it answers like the sampler.
 
     Identical answers alone would tolerate divergent budget dynamics (a
     wrong budget costs work, not bytes) — so the controller's full state is
@@ -270,37 +316,60 @@ class TestExecutorGatherEquivalence:
     ):
         stream = _batch_stream(hub_dataset)
 
-        def serve(engine, close=False):
+        def serve(engine):
             answers, budgets = [], []
             try:
                 for batch in stream:
                     answers.append(engine.run(list(batch)))
-                    budget = getattr(engine, "_budget", None)
-                    budgets.append(None if budget is None else budget.state_dict())
-                counters = engine.stats.as_dict()
+                    budgets.append(engine._budget.state_dict())
+                counters = engine.stats.to_dict()
             finally:
-                if close:
-                    engine.close()
+                close = getattr(engine, "close", None)
+                if close is not None:
+                    close()
             return answers, budgets, counters
 
-        reference, _, _ = serve(BatchQueryEngine.build(_build_sampler(sampler_name), hub_dataset))
-        threaded, thread_budgets, thread_counters = serve(
-            ShardedEngine.build(_build_sampler(sampler_name), hub_dataset, n_shards=4)
-        )
-        processed, process_budgets, process_counters = serve(
-            ProcessShardedEngine.build(
-                _build_sampler(sampler_name), hub_dataset, n_shards=4
+        # The reference bypasses every engine: the sampler's own full-view
+        # sample_detailed / sample_k over identically built tables.
+        sampler = _build_sampler(sampler_name)
+        tables, bound = build_tables(sampler, hub_dataset)
+        sampler.attach(tables, bound)
+        reference = [_reference_responses(sampler, sampler_name, batch) for batch in stream]
+
+        served = {
+            "unsharded": serve(
+                BatchQueryEngine.build(_build_sampler(sampler_name), hub_dataset)
             ),
-            close=True,
-        )
-        for ref_batch, thread_batch, process_batch in zip(reference, threaded, processed):
-            _assert_identical(ref_batch, thread_batch)
-            _assert_identical(ref_batch, process_batch)
-        # Same controller, same moves: the budget sequences match exactly.
+            "thread@1": serve(
+                ShardedEngine.build(_build_sampler(sampler_name), hub_dataset, n_shards=1)
+            ),
+            "thread@4": serve(
+                ShardedEngine.build(_build_sampler(sampler_name), hub_dataset, n_shards=4)
+            ),
+            "process@4": serve(
+                ProcessShardedEngine.build(
+                    _build_sampler(sampler_name), hub_dataset, n_shards=4
+                )
+            ),
+        }
+        for answers, _, _ in served.values():
+            for ref_batch, batch in zip(reference, answers):
+                _assert_identical(ref_batch, batch)
+        # The gather did the answering on every engine.
+        for _, _, counters in served.values():
+            assert counters["prefix_scans"] > 0
+        # An unsharded engine is the one-shard case of the same loop: same
+        # budget moves, same certification/escalation profile.
+        _, unsharded_budgets, unsharded_counters = served["unsharded"]
+        _, one_shard_budgets, one_shard_counters = served["thread@1"]
+        assert unsharded_budgets == one_shard_budgets
+        for counter in ("prefix_scans", "prefix_escalations"):
+            assert unsharded_counters[counter] == one_shard_counters[counter]
+        assert unsharded_counters["shard_merges"] == 0
+        # Same shard layout, different executor: same controller, same moves.
+        _, thread_budgets, thread_counters = served["thread@4"]
+        _, process_budgets, process_counters = served["process@4"]
         assert thread_budgets == process_budgets
-        # And the gather did the answering: the prefix path certified work on
-        # both executors, with identical certification/escalation profiles.
-        assert thread_counters["prefix_scans"] > 0
         for counter in ("prefix_scans", "prefix_escalations", "shard_merges"):
             assert thread_counters[counter] == process_counters[counter]
 
@@ -341,3 +410,141 @@ class TestExecutorGatherEquivalence:
             engine.close()
         with pytest.raises(InvalidParameterError):
             ShardedEngine(built.sampler, prefix_budget=512, prefix_budget_cap=256)
+
+    def test_spec_budget_reaches_the_unsharded_engine(self, hub_dataset, tmp_path):
+        spec = EngineSpec(
+            samplers={"fair": SamplerSpec("permutation", SET_PARAMS, lsh=LSHSpec("minhash"))},
+            prefix_budget=256,
+            prefix_budget_cap=512,
+        )
+        served = FairNN.from_spec(spec).serve(list(hub_dataset))
+        engine = served.engine()
+        assert type(engine) is BatchQueryEngine
+        assert engine._budget.limit == 256 and engine._budget.cap == 512
+        assert engine.stats_dict()["counters"]["prefix_budget"] == 256
+        served.run(list(hub_dataset[:12]))
+        assert engine.stats.prefix_scans > 0
+        # ... and survives a snapshot round trip.
+        served.save(tmp_path / "snap")
+        loaded = FairNN.load(tmp_path / "snap").engine()
+        assert loaded._budget.floor == 256 and loaded._budget.cap == 512
+
+
+# ----------------------------------------------------------------------
+class TestBoundedCollidingView:
+    """``colliding_view(query, limit)`` on every unsharded table layout.
+
+    A deliberately tiny budget forces truncated prefixes and escalations, so
+    the certify/escalate loop runs on every query; answers and per-query
+    ``QueryStats`` must still equal the sampler's own full-view path.
+    """
+
+    @staticmethod
+    def _engine(dataset, dynamic=True):
+        engine = BatchQueryEngine.build(
+            _make_sampler("permutation"),
+            dataset,
+            dynamic=dynamic,
+            max_tombstone_fraction=0.9,
+        )
+        return BatchQueryEngine(engine.sampler, prefix_budget=4, prefix_budget_cap=64)
+
+    @staticmethod
+    def _assert_prefixes_of_full_view(tables, query):
+        full = tables.colliding_view(query)
+        assert full.complete
+        for limit in (1, 4, 16, 10_000):
+            view = tables.colliding_view(query, limit)
+            assert view.ranks.size <= limit
+            assert np.array_equal(view.ranks, full.ranks[: view.ranks.size])
+            assert np.array_equal(view.indices, full.indices[: view.indices.size])
+            assert view.complete == (view.ranks.size == full.ranks.size)
+        return full
+
+    @staticmethod
+    def _assert_matches_sampler(engine, requests):
+        responses = engine.run(requests)
+        sampler = engine.sampler
+        for request, response in zip(requests, responses):
+            direct = sampler.sample_detailed(request.query, exclude_index=request.exclude_index)
+            assert response.indices == ([] if direct.index is None else [direct.index])
+            assert response.value == direct.value
+            assert response.stats == direct.stats
+        assert engine.stats.prefix_scans == len(requests)
+        assert engine.stats.prefix_escalations > 0
+
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_dynamic_tables_with_pending_tombstones(self, hub_dataset, exclude):
+        engine = self._engine(hub_dataset)
+        tables = engine.tables
+        doomed = list(range(1, 60, 3))
+        for index in doomed:
+            engine.delete(index)
+        # Tombstoned, not yet compacted: the gather must filter liveness.
+        assert tables.pending_tombstones == len(doomed)
+        for position in range(20):
+            full = self._assert_prefixes_of_full_view(tables, hub_dataset[position])
+            assert not np.isin(full.indices, doomed).any()
+        requests = [
+            QueryRequest(hub_dataset[position], exclude_index=position if exclude else None)
+            for position in range(0, 40, 2)
+        ]
+        self._assert_matches_sampler(engine, requests)
+
+    def test_static_rank_built_tables(self, hub_dataset):
+        engine = self._engine(hub_dataset, dynamic=False)
+        tables = engine.tables
+        assert not engine.is_dynamic and tables.ranks is not None
+        for position in range(20):
+            full = self._assert_prefixes_of_full_view(tables, hub_dataset[position])
+            # The unbounded view is the rank-sorted concatenation of the
+            # colliding buckets, exactly.
+            buckets = [b for b in tables.query_buckets(hub_dataset[position]) if len(b)]
+            ranks = np.concatenate([b.ranks for b in buckets])
+            order = np.argsort(ranks, kind="stable")
+            assert np.array_equal(full.ranks, ranks[order])
+            assert np.array_equal(
+                full.indices, np.concatenate([b.indices for b in buckets])[order]
+            )
+        requests = [
+            QueryRequest(hub_dataset[position], exclude_index=position)
+            for position in range(0, 40, 2)
+        ]
+        self._assert_matches_sampler(engine, requests)
+
+
+def test_concurrent_batches_share_one_controller(hub_dataset):
+    """Concurrent batches of a query-deterministic sampler run unserialized,
+    so the budget controller's moves must not lose updates."""
+    import sys
+    import threading
+
+    engine = BatchQueryEngine.build(_make_sampler("permutation"), hub_dataset)
+    batch = list(hub_dataset[:24])
+    expected = engine.run(batch)
+    threads_n, batches_each = 6, 15
+    failures = []
+
+    def hammer():
+        for _ in range(batches_each):
+            responses = engine.run(batch)
+            if [r.indices for r in responses] != [r.indices for r in expected]:
+                failures.append(responses)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    total = 1 + threads_n * batches_each
+    # Every batch certifies at least one query, so each one tunes once.
+    assert engine._budget.batches_tuned == total
+    assert engine.stats.batches_served == total
+    assert engine.stats.prefix_scans == total * len(batch)

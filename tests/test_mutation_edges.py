@@ -84,7 +84,7 @@ class TestDeleteEdgeSemantics:
         pending_before = set(tables._pending)
         live_before = tables.num_live
         epoch_before = tables.mutation_epoch
-        stats_before = engine.stats.as_dict()
+        stats_before = engine.stats.to_dict()
 
         for failing in (lambda: engine.delete(1), lambda: engine.delete(10_000)):
             with pytest.raises(InvalidParameterError):
@@ -95,7 +95,7 @@ class TestDeleteEdgeSemantics:
             assert set(tables._pending) == pending_before
             assert tables.num_live == live_before
             assert tables.mutation_epoch == epoch_before
-            assert engine.stats.as_dict() == stats_before
+            assert engine.stats.to_dict() == stats_before
 
     def test_tombstone_fraction_not_moved_by_failed_deletes(self, sharded):
         dataset = _dataset(n=40)
@@ -119,12 +119,12 @@ class TestFairNNDeleteSemantics:
         spec = SamplerSpec("permutation", SET_PARAMS, lsh=LSHSpec("minhash"), seed=5)
         nn = FairNN.from_spec(spec).serve(dataset)
         nn.delete(3)
-        stats_before = {name: s.as_dict() for name, s in nn.stats().items()}
+        stats_before = {name: s.to_dict() for name, s in nn.stats().items()}
         with pytest.raises(KeyError):
             nn.delete(3)
         with pytest.raises(IndexError):
             nn.delete(10_000)
-        assert {name: s.as_dict() for name, s in nn.stats().items()} == stats_before
+        assert {name: s.to_dict() for name, s in nn.stats().items()} == stats_before
 
 
 @pytest.mark.parametrize("sharded", [False, True])
@@ -133,11 +133,11 @@ class TestEmptyInsertIsANoOp:
         engine = _engine(_dataset(), sharded)
         tables = engine.tables
         epoch = tables.mutation_epoch
-        stats_before = engine.stats.as_dict()
+        stats_before = engine.stats.to_dict()
         assert engine.insert_many([]) == []
         assert tables.mutation_epoch == epoch
         assert tables.peek_delta().is_empty
-        assert engine.stats.as_dict() == stats_before
+        assert engine.stats.to_dict() == stats_before
         assert engine._tables_dirty is False
 
     def test_tables_empty_insert_many(self, sharded):
@@ -154,9 +154,9 @@ class TestFairNNEmptyInsert:
         dataset = _dataset()
         spec = SamplerSpec("permutation", SET_PARAMS, lsh=LSHSpec("minhash"), seed=5)
         nn = FairNN.from_spec(spec).serve(dataset, shards=2)
-        stats_before = {name: s.as_dict() for name, s in nn.stats().items()}
+        stats_before = {name: s.to_dict() for name, s in nn.stats().items()}
         assert nn.insert_many([]) == []
-        assert {name: s.as_dict() for name, s in nn.stats().items()} == stats_before
+        assert {name: s.to_dict() for name, s in nn.stats().items()} == stats_before
         assert nn.tables.peek_delta().is_empty
         assert all(not engine._tables_dirty for engine in nn._engines.values())
 

@@ -135,9 +135,35 @@ class TestEngineAggregates:
             sampler = _lsh(IndependentFairSampler, seed=13)
             engine = BatchQueryEngine.build(sampler, heavy_workload["dataset"], seed=13)
             engine.run([heavy_workload["query"]] * 5 + heavy_workload["dataset"][:10])
-            return engine.stats.as_dict()
+            return engine.stats.to_dict()
 
         assert serve() == serve()
+
+
+class TestUnshardedPrefixCounters:
+    """The unsharded engine answers through the bounded rank-prefix gather.
+
+    A regression back to full-view scoring drops ``prefix_scans`` to zero; a
+    budget or certification regression moves the pinned escalation count.
+    """
+
+    def test_single_draws_take_the_prefix_path(self, heavy_workload):
+        engine = BatchQueryEngine.build(
+            _lsh(PermutationFairSampler, seed=21), heavy_workload["dataset"]
+        )
+        queries = heavy_workload["dataset"][:25]
+        responses = engine.run(queries + queries[:5])
+        assert all(r.found for r in responses)
+        stats = engine.stats
+        # One certified scan per distinct single draw (duplicates coalesce).
+        assert stats.coalesced_queries == 5
+        assert stats.prefix_scans == 25
+        # Plain dynamic tables have nothing to merge across shards.
+        assert stats.shard_merges == 0
+        # Cold-start escalations through the shared widened rounds: a
+        # deterministic count (order-insensitive sums over the batch).
+        assert stats.prefix_escalations == 82
+        assert engine.stats_dict()["counters"]["prefix_budget"] == 2048
 
 
 #: Counters whose totals are exact deterministic functions of a seeded
@@ -234,7 +260,7 @@ class TestShardedMergeCounters:
             engine.run([heavy_workload["query"]] * 5 + heavy_workload["dataset"][:15])
             engine.insert_many(heavy_workload["dataset"][:3])
             engine.run(heavy_workload["dataset"][10:20])
-            stats = engine.stats.as_dict()
+            stats = engine.stats.to_dict()
             return {key: stats[key] for key in _DETERMINISTIC_SHARDED_COUNTERS}
 
         for sampler_cls in (IndependentFairSampler, PermutationFairSampler):
@@ -255,7 +281,7 @@ class TestShardedMergeCounters:
             engine.run([heavy_workload["query"]] + heavy_workload["dataset"][:20])
             engine.insert_many(heavy_workload["dataset"][:3])
             engine.run(heavy_workload["dataset"][10:20])
-            stats = engine.stats.as_dict()
+            stats = engine.stats.to_dict()
             assert stats["worker_restarts"] == 0
             assert stats["mutations_replayed"] == 0
             # Both directions of the shard protocol actually carried frames.
@@ -283,7 +309,7 @@ class TestShardedMergeCounters:
                 engine.run([heavy_workload["query"]] * 5 + heavy_workload["dataset"][:15])
                 engine.insert_many(heavy_workload["dataset"][:3])
                 engine.run(heavy_workload["dataset"][10:20])
-                stats = engine.stats.as_dict()
+                stats = engine.stats.to_dict()
             finally:
                 engine.close()
             keys = _DETERMINISTIC_SHARDED_COUNTERS + (

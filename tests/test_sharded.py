@@ -236,21 +236,41 @@ class TestShardedTables:
             frozenset({1, 2, 4})
         )
 
-    def test_colliding_prefix_view_is_a_true_prefix(self, small_set_dataset):
+    def test_bounded_colliding_view_is_a_true_prefix(self):
+        # A dense hub: every point shares a 12-item core, so colliding views
+        # run to hundreds of references per shard.
+        rng = np.random.default_rng(11)
+        dataset = [
+            frozenset(set(range(12)) | {int(x) for x in rng.choice(range(12, 300), size=4)})
+            for _ in range(200)
+        ]
         tables, _ = build_tables(
-            _make_sampler("permutation"), small_set_dataset, dynamic=True, n_shards=4
+            _make_sampler("permutation"), dataset, dynamic=True, n_shards=4
         )
-        query = small_set_dataset[0]
-        full_ranks, full_indices = tables.colliding_view(query)
-        (prefix_ranks, prefix_indices), complete = tables.colliding_prefix_view(query, 4)
-        assert not complete or prefix_ranks.size == full_ranks.size
-        np.testing.assert_array_equal(prefix_ranks, full_ranks[: prefix_ranks.size])
-        np.testing.assert_array_equal(prefix_indices, full_indices[: prefix_indices.size])
+        query = dataset[0]
+        # The per-shard merge without a limit reproduces the view over the
+        # merged cross-shard buckets.
+        buckets = [b for b in tables.query_buckets(query) if b.indices.size]
+        merged_ranks = np.concatenate([b.ranks for b in buckets])
+        order = np.argsort(merged_ranks, kind="stable")
+        full = tables.colliding_view(query)
+        assert full.complete
+        full_ranks, full_indices = full
+        np.testing.assert_array_equal(full_ranks, merged_ranks[order])
+        np.testing.assert_array_equal(
+            full_indices, np.concatenate([b.indices for b in buckets])[order]
+        )
+        # 128 total splits into 32 per shard, below the largest shard's
+        # colliding multiset: a strict, certified prefix.
+        prefix = tables.colliding_view(query, 128)
+        assert not prefix.complete and 0 < prefix.ranks.size < full_ranks.size
+        np.testing.assert_array_equal(prefix.ranks, full_ranks[: prefix.ranks.size])
+        np.testing.assert_array_equal(prefix.indices, full_indices[: prefix.indices.size])
         # A generous limit returns the complete view.
-        (all_ranks, all_indices), complete = tables.colliding_prefix_view(query, 10_000)
-        assert complete
-        np.testing.assert_array_equal(all_ranks, full_ranks)
-        np.testing.assert_array_equal(all_indices, full_indices)
+        whole = tables.colliding_view(query, 10_000)
+        assert whole.complete
+        np.testing.assert_array_equal(whole.ranks, full_ranks)
+        np.testing.assert_array_equal(whole.indices, full_indices)
 
     def test_validation(self, small_set_dataset):
         with pytest.raises(InvalidParameterError):

@@ -427,26 +427,3 @@ class TestServingIntegration:
             counters = stats["samplers"][served.primary]["counters"]
             assert counters["store_cache_misses"] == block["cache"]["misses"]
             assert counters["store_bytes_fetched"] == block["cache"]["bytes_fetched"]
-
-
-class TestDeprecatedShim:
-    def test_repro_data_store_warns_and_reexports(self):
-        """The pre-subsystem module path still works, under a deprecation.
-
-        ``repro.data.store`` predates the storage subsystem; it must keep
-        re-exporting the exact objects now living in ``repro.store`` (not
-        copies — callers' isinstance checks must keep passing) while telling
-        importers to move.
-        """
-        import importlib
-        import sys
-
-        import repro.store
-
-        sys.modules.pop("repro.data.store", None)
-        with pytest.warns(DeprecationWarning, match="repro.store"):
-            shim = importlib.import_module("repro.data.store")
-        for name in ("DatasetStore", "DenseStore", "SetStore", "SharedStoreExport", "make_store"):
-            assert getattr(shim, name) is getattr(repro.store, name)
-        # Already-imported: no second warning (module cache), still usable.
-        assert importlib.import_module("repro.data.store") is shim
