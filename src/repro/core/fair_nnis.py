@@ -142,15 +142,17 @@ class IndependentFairSampler(LSHNeighborSampler):
             delta=self.sketch_delta,
             seed=self._perm_rng,
         )
-        self._bucket_sketches = []
-        for table in self.tables._tables:
-            sketches: Dict[Hashable, BottomTSketch] = {}
-            # Through _refresh_bucket_sketch so that attach()ing to dynamic
-            # tables with tombstones still awaiting compaction never bakes
-            # dead members into a sketch.
-            for key in table:
-                self._refresh_bucket_sketch(table, sketches, key)
-            self._bucket_sketches.append(sketches)
+        # Through _refresh_bucket_sketches so that attach()ing to dynamic
+        # tables with tombstones still awaiting compaction never bakes dead
+        # members into a sketch.
+        self._bucket_sketches = [{} for _ in self.tables._tables]
+        self._refresh_bucket_sketches(
+            [
+                (table, sketches, key)
+                for table, sketches in zip(self.tables._tables, self._bucket_sketches)
+                for key in table
+            ]
+        )
 
     def _after_update(self, delta=None) -> None:
         """Attached tables mutated: bring the per-bucket sketches up to date.
@@ -202,45 +204,51 @@ class IndependentFairSampler(LSHNeighborSampler):
         self._view_cache.clear()
         if delta.is_empty:
             return
+        refresh = []
+        fold_sketches, fold_groups = [], []
         for table_index, table in enumerate(self.tables._tables):
             sketches = self._bucket_sketches[table_index]
             rebuild_keys = delta.rebuild_keys(table_index)
-            for key in rebuild_keys:
-                self._refresh_bucket_sketch(table, sketches, key)
+            refresh.extend((table, sketches, key) for key in rebuild_keys)
             for key, members in delta.inserted_members[table_index].items():
                 if key in rebuild_keys:
-                    continue  # already rebuilt from the current live members
+                    continue  # rebuilt from the current live members below
                 sketch = sketches.get(key)
                 if sketch is not None:
-                    sketch.add_keys(members)
+                    fold_sketches.append(sketch)
+                    fold_groups.append(members)
                 else:
                     # No stored sketch: the bucket was small before the batch;
                     # promote it if the inserts pushed it past the cutoff.
-                    self._refresh_bucket_sketch(table, sketches, key)
+                    refresh.append((table, sketches, key))
+        self._sketcher.fold_keys(fold_sketches, fold_groups)
+        self._refresh_bucket_sketches(refresh)
 
-    def _refresh_bucket_sketch(
-        self, table: Dict[Hashable, object], sketches: Dict[Hashable, BottomTSketch], key: Hashable
-    ) -> None:
-        """Recompute one bucket's stored sketch from its live members.
+    def _refresh_bucket_sketches(self, targets: List[tuple]) -> None:
+        """Recompute the stored sketches of ``(table, sketches, key)`` buckets.
 
-        Drops the sketch when the bucket disappeared or its live size is
-        below ``sketch_min_bucket`` (small buckets are answered exactly at
-        query time); otherwise re-sketches the surviving members.  Bucket
-        arrays may still hold tombstoned references awaiting compaction, so
-        membership is filtered through the table layer's liveness mask.
+        Drops a sketch when its bucket disappeared or its live size is below
+        ``sketch_min_bucket`` (small buckets are answered exactly at query
+        time); otherwise re-sketches the surviving members.  Bucket arrays
+        may still hold tombstoned references awaiting compaction, so
+        membership is filtered through the table layer's liveness mask.  All
+        re-sketched buckets are hashed together
+        (:meth:`~repro.sketches.kmv.DistinctCountSketcher.sketch_groups`).
         """
-        bucket = table.get(key)
-        if bucket is None:
-            sketches.pop(key, None)
-            return
-        members = bucket.indices
         alive = getattr(self.tables, "alive", None)
-        if alive is not None:
-            members = members[alive[members]]
-        if members.size >= self.sketch_min_bucket:
-            sketches[key] = self._sketcher.sketch_keys(int(i) for i in members)
-        else:
-            sketches.pop(key, None)
+        kept, groups = [], []
+        for table, sketches, key in targets:
+            bucket = table.get(key)
+            members = None if bucket is None else bucket.indices
+            if members is not None and alive is not None:
+                members = members[alive[members]]
+            if members is not None and members.size >= self.sketch_min_bucket:
+                kept.append((sketches, key))
+                groups.append(members)
+            else:
+                sketches.pop(key, None)
+        for (sketches, key), sketch in zip(kept, self._sketcher.sketch_groups(groups)):
+            sketches[key] = sketch
 
     def _stripped_for_snapshot(self):
         # The per-query caches are deterministic functions of the tables and
@@ -265,17 +273,22 @@ class IndependentFairSampler(LSHNeighborSampler):
         # small-bucket sketches; stored sketches already exclude them.  The
         # keys are passed along so the query is hashed only once.
         buckets = self.tables.query_buckets(query, keys=query_keys)
-        merged: Optional[BottomTSketch] = None
+        stored, small = [], []
         for table_index, (key, bucket) in enumerate(zip(query_keys, buckets)):
             if len(bucket) == 0:
                 continue
             sketch = self._bucket_sketches[table_index].get(key)
             if sketch is None:
-                # Small bucket: build its sketch on the fly (cheaper than
-                # storing sketches for the long tail of tiny buckets).
-                sketch = self._sketcher.sketch_keys(int(i) for i in bucket.indices)
-            merged = sketch if merged is None else merged.merge(sketch)
-        estimate = 0.0 if merged is None else float(merged.estimate())
+                # Small bucket: sketch it on the fly (cheaper than storing
+                # sketches for the long tail of tiny buckets).
+                small.append(bucket.indices)
+            else:
+                stored.append(sketch)
+        if small:
+            stored.append(self._sketcher.sketch_keys(np.concatenate(small)))
+        # Bottom-t sketches merge exactly, so one merge of all L buckets
+        # equals the pairwise merges.
+        estimate = float(BottomTSketch.merge_all(stored).estimate()) if stored else 0.0
         if digest is not None:
             if len(self._estimate_cache) >= self._cache_limit:
                 self._estimate_cache.clear()
@@ -306,14 +319,6 @@ class IndependentFairSampler(LSHNeighborSampler):
         # should not inflate the rejection-round budgets.
         return max(1.0, math.log2(max(2, self.tables.num_live)))
 
-    def _segment_bounds(self, segment: int, k: int) -> tuple:
-        # Integer arithmetic: the dynamic table layer uses a 2^62-sized rank
-        # domain, where float division would mis-place segment boundaries.
-        domain = self.tables.rank_domain
-        lo = (segment * domain) // k
-        hi = ((segment + 1) * domain) // k if segment + 1 < k else domain
-        return lo, hi
-
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
@@ -328,14 +333,20 @@ class IndependentFairSampler(LSHNeighborSampler):
         :meth:`~repro.core.base.NeighborSampler.sample_detailed` for the
         parameters and the returned :class:`~repro.core.result.QueryResult`.
 
-        The rejection loop is fully vectorized: a round's candidate segment
-        is one ``searchsorted`` slice of the rank-sorted colliding view, the
-        segment's distinct members are scored with a single batched distance
-        kernel (memoized across rounds), and the per-round randomness —
-        uniform segment choice and acceptance coin — is pre-drawn in one
-        chunk per ``k`` level (``sigma`` rounds) instead of one RNG call per
-        round.  Each round consumes exactly one segment draw and one
-        acceptance uniform, so the output distribution is the paper's.
+        The rejection rounds run as array code.  The colliding view is
+        deduplicated once, sorted by (rank, index), and a round's segment is
+        a ``searchsorted`` range of those distinct members.  The segment
+        choices and acceptance coins of one ``k`` level (``sigma`` rounds)
+        are drawn in two RNG calls up front; the level's rounds are then
+        scored in blocks of 8, 16, 32, ... rounds, one
+        :meth:`~repro.core.evaluator.CandidateEvaluator.values` call per
+        block for the members its segments cover.  A round's near count is
+        a prefix-sum difference, and the first round whose coin falls below
+        ``min(1, near / lambda)`` is accepted; its answer is a uniform draw
+        among the segment's near members in index order.  Answers, round
+        counts and RNG consumption equal those of scoring one round at a
+        time; ``distance_evaluations`` also counts the members of the
+        accepted block's later rounds, which were scored but not needed.
         """
         self._check_fitted()
         return self._sample_over_view(query, self._colliding_view(query), exclude_index)
@@ -370,11 +381,14 @@ class IndependentFairSampler(LSHNeighborSampler):
         lam = max(1.0, self.lambda_factor * self._log_n())
         sigma = max(1, int(math.ceil(self.sigma_factor * self._log_n() ** 2)))
 
-        view_ranks, view_indices = view
+        member_ranks, members = _distinct_members(view)
+        # near[i]: member i is r-near, once scored[i] is set.  The excluded
+        # point counts as scored and never near.
+        near = np.zeros(members.size, dtype=bool)
+        scored = near.copy() if exclude_index is None else members == exclude_index
         evaluator = self._evaluator(query)
         num_tables = self.tables.num_tables
-        within_mask = self.measure.within_mask
-        radius = self.radius
+        domain = self.tables.rank_domain
         while k >= 1 and stats.rounds < self.max_rounds:
             # One chunk per k level: k halves after exactly sigma failed
             # rounds, so the segment choices and acceptance coins for the
@@ -382,28 +396,77 @@ class IndependentFairSampler(LSHNeighborSampler):
             chunk = min(sigma, self.max_rounds - stats.rounds)
             segments = self._query_rng.integers(0, k, size=chunk)
             acceptance = self._query_rng.random(chunk)
-            for round_index in range(chunk):
-                stats.rounds += 1
-                lo, hi = self._segment_bounds(int(segments[round_index]), k)
-                left = int(np.searchsorted(view_ranks, lo, side="left"))
-                right = int(np.searchsorted(view_ranks, hi, side="left"))
-                candidates = np.unique(view_indices[left:right])
-                stats.buckets_probed += num_tables
-                stats.candidates_examined += int(candidates.size)
-                if exclude_index is not None:
-                    candidates = candidates[candidates != exclude_index]
-
-                if candidates.size:
-                    near = candidates[within_mask(evaluator.values(candidates), radius)]
-                else:
-                    near = candidates
-
-                if near.size and acceptance[round_index] < min(1.0, near.size / lam):
-                    chosen = int(near[int(self._query_rng.integers(0, near.size))])
+            # Segment s spans ranks [s * domain // k, (s + 1) * domain // k),
+            # computed as s * q + s * rem // k: exact in int64 even for the
+            # 2^62 rank domain of dynamic tables.
+            q, rem = divmod(domain, k)
+            lo = np.searchsorted(member_ranks, segments * q + segments * rem // k)
+            ends = segments + 1
+            hi = np.searchsorted(member_ranks, ends * q + ends * rem // k)
+            start, block = 0, _FIRST_BLOCK
+            while start < chunk:
+                stop = min(chunk, start + block)
+                self._score_block(evaluator, members, near, scored, lo[start:stop], hi[start:stop])
+                near_before = np.concatenate(([0], np.cumsum(near)))
+                near_counts = near_before[hi[start:stop]] - near_before[lo[start:stop]]
+                accepted = (near_counts > 0) & (
+                    acceptance[start:stop] < np.minimum(1.0, near_counts / lam)
+                )
+                if accepted.any():
+                    stop = start + int(np.argmax(accepted)) + 1
+                    self._count_rounds(stats, lo[:stop], hi[:stop], num_tables)
+                    left, right = lo[stop - 1], hi[stop - 1]
+                    # Slot-index order fixes which member each draw picks,
+                    # so answers equal those of scoring one round at a time.
+                    chosen_from = np.sort(members[left:right][near[left:right]])
+                    chosen = int(chosen_from[int(self._query_rng.integers(0, chosen_from.size))])
                     stats.distance_evaluations = evaluator.fresh_evaluations
                     stats.kernel_calls = evaluator.kernel_calls
                     return QueryResult(index=chosen, value=evaluator.value(chosen), stats=stats)
+                start, block = stop, 2 * block
+            self._count_rounds(stats, lo, hi, num_tables)
             k //= 2
         stats.distance_evaluations = evaluator.fresh_evaluations
         stats.kernel_calls = evaluator.kernel_calls
         return QueryResult(index=None, value=None, stats=stats)
+
+    def _score_block(self, evaluator, members, near, scored, lo, hi) -> None:
+        """Score the not-yet-scored members of the segments ``[lo, hi)``.
+
+        One :meth:`~repro.core.evaluator.CandidateEvaluator.values` call
+        covers the whole block; ``near`` and ``scored`` are updated in place.
+        """
+        size = members.size + 1
+        covered = np.cumsum(np.bincount(lo, minlength=size) - np.bincount(hi, minlength=size))
+        todo = np.flatnonzero((covered[:-1] > 0) & ~scored)
+        if todo.size:
+            values = evaluator.values(members[todo])
+            near[todo] = self.measure.within_mask(values, self.radius)
+            scored[todo] = True
+
+    @staticmethod
+    def _count_rounds(stats: QueryStats, lo: np.ndarray, hi: np.ndarray, num_tables: int) -> None:
+        """Add the work counters of the rounds with segments ``[lo, hi)``."""
+        stats.rounds += int(lo.size)
+        stats.buckets_probed += int(lo.size) * num_tables
+        stats.candidates_examined += int((hi - lo).sum())
+
+
+#: Rounds scored by the first block of a ``k`` level; each later block of
+#: the level is twice the previous one.
+_FIRST_BLOCK = 8
+
+
+def _distinct_members(view: tuple) -> tuple:
+    """The distinct ``(ranks, indices)`` of a rank-sorted colliding view.
+
+    Sorting by (rank, index) makes a point's copies adjacent even when
+    another point shares its rank (dynamic tables draw ranks i.i.d.), so
+    the distinct members are the starts of equal-pair runs.
+    """
+    ranks, indices = view
+    order = np.lexsort((indices, ranks))
+    ranks, indices = ranks[order], indices[order]
+    first = np.ones(ranks.size, dtype=bool)
+    first[1:] = (ranks[1:] != ranks[:-1]) | (indices[1:] != indices[:-1])
+    return ranks[first], indices[first]

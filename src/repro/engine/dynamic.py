@@ -447,6 +447,10 @@ class DynamicLSHTables(LSHTables):
         new_ranks = self._checked_insert_ranks(count, ranks)
         start = self._n
         keys_per_point = self.query_keys_many(points)
+        # A fresh singleton bucket is a view of this one members array.
+        batch_members = np.arange(start, start + count, dtype=np.intp)
+        if new_ranks is not None:
+            batch_members = np.array((batch_members, new_ranks))
         for table_index, table in enumerate(self._tables):
             groups: dict = {}
             for offset, keys in enumerate(keys_per_point):
@@ -461,14 +465,15 @@ class DynamicLSHTables(LSHTables):
                         None if new_ranks is None else int(new_ranks[offset]),
                     )
                     continue
+                if bucket is None and len(offsets) == 1:
+                    # Fresh singleton bucket: already trivially sorted.
+                    offset = offsets[0]
+                    table[key] = Bucket.from_array(batch_members[..., offset : offset + 1])
+                    continue
                 added_indices = np.asarray([start + o for o in offsets], dtype=np.intp)
                 added_ranks = None if new_ranks is None else new_ranks[offsets]
                 if bucket is None:
-                    if len(offsets) == 1:
-                        # Fresh singleton bucket: already trivially sorted.
-                        table[key] = Bucket(added_indices, added_ranks)
-                    else:
-                        table[key] = Bucket.from_members(added_indices, added_ranks)
+                    table[key] = Bucket.from_members(added_indices, added_ranks)
                 else:
                     table[key] = Bucket.from_members(
                         np.concatenate([bucket.indices, added_indices]),

@@ -168,7 +168,7 @@ def bounded_shard_prefix(
     truncated = False
     for table_index, (table, key) in enumerate(zip(shard._tables, keys)):
         bucket = table.get(key)
-        if bucket is None or not bucket.indices.size:
+        if bucket is None or not len(bucket):
             continue
         ranks = bucket.ranks
         indices = bucket.indices

@@ -797,17 +797,17 @@ def _restore_table(
 ) -> dict:
     """Rebuild one table's ``key -> Bucket`` dict from the flattened arrays."""
     # np.asarray demotes memmap-loaded arrays to base-ndarray views over the
-    # same mapping: the data stays lazy, but the thousands of per-bucket
-    # slices below are cheap ndarray views instead of memmap subclass
-    # instances.  copy=False keeps the intp cast lazy too (int64 == intp on
-    # 64-bit platforms).
+    # same mapping, so the thousands of per-bucket slices below are cheap
+    # ndarray views instead of memmap subclass instances.  copy=False keeps
+    # the intp cast lazy too (int64 == intp on 64-bit platforms).  A ranked
+    # table reads both arrays once, into the indices-over-ranks layout that
+    # Bucket keeps its members in.
     offsets = np.asarray(arrays[f"{prefix}t{table_index}_offsets"]).tolist()
     indices = np.asarray(arrays[f"{prefix}t{table_index}_indices"]).astype(np.intp, copy=False)
     ranks = np.asarray(arrays[f"{prefix}t{table_index}_ranks"]) if has_ranks else None
+    members = indices if ranks is None else np.array((indices, ranks))
     table = {}
     for position, key in enumerate(keys):
         lo, hi = int(offsets[position]), int(offsets[position + 1])
-        table[key] = Bucket(
-            indices[lo:hi], None if ranks is None else ranks[lo:hi]
-        )
+        table[key] = Bucket.from_array(members[..., lo:hi])
     return table

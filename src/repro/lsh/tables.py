@@ -56,26 +56,51 @@ class Bucket:
     ``ranks`` holds the corresponding rank values (so ``ranks`` is sorted
     ascending).  Without ranks, ``indices`` keeps insertion (dataset) order
     and ``ranks`` is ``None``.
+
+    The members live in one array — the indices, or a ``2 x m`` array of
+    indices over ranks — and ``indices`` / ``ranks`` are views of it.  Most
+    buckets hold one or two points, so an index's memory goes mostly to
+    per-array overhead, and one array per bucket instead of two saves much
+    of it.
     """
 
-    __slots__ = ("indices", "ranks")
+    __slots__ = ("_members",)
 
     def __init__(self, indices: np.ndarray, ranks: Optional[np.ndarray] = None):
-        self.indices = indices
-        self.ranks = ranks
+        self._members = indices if ranks is None else np.array((indices, ranks))
+
+    @classmethod
+    def from_array(cls, members: np.ndarray) -> "Bucket":
+        """Wrap a members array (indices, or ``2 x m`` indices over ranks) as is."""
+        bucket = cls.__new__(cls)
+        bucket._members = members
+        return bucket
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Member slot indices (rank order when the bucket has ranks)."""
+        members = self._members
+        return members[0] if members.ndim == 2 else members
+
+    @property
+    def ranks(self) -> Optional[np.ndarray]:
+        """Member ranks, ascending, or ``None`` for a rankless bucket."""
+        members = self._members
+        return members[1] if members.ndim == 2 else None
 
     def __len__(self) -> int:
-        return int(self.indices.size)
+        return int(self._members.shape[-1])
 
     def rank_range(self, lo: int, hi: int) -> np.ndarray:
         """Indices of bucket members with rank in ``[lo, hi)``.
 
         Requires the bucket to have been built with ranks.
         """
-        if self.ranks is None:
+        ranks = self.ranks
+        if ranks is None:
             raise InvalidParameterError("bucket was built without ranks; rank_range unavailable")
-        left = int(np.searchsorted(self.ranks, lo, side="left"))
-        right = int(np.searchsorted(self.ranks, hi, side="left"))
+        left = int(np.searchsorted(ranks, lo, side="left"))
+        right = int(np.searchsorted(ranks, hi, side="left"))
         return self.indices[left:right]
 
     @classmethod
@@ -95,24 +120,19 @@ class Bucket:
         it is appended (insertion order).  This is the single-point update
         primitive shared by the dynamic table layer.
         """
-        if self.ranks is None:
+        ranks = self.ranks
+        if ranks is None:
             if rank is not None:
                 raise InvalidParameterError("cannot insert a ranked member into a rankless bucket")
-            return Bucket(np.append(self.indices, np.intp(index)))
+            return Bucket(np.append(self._members, np.intp(index)))
         if rank is None:
             raise InvalidParameterError("bucket has ranks; a rank is required to insert")
-        position = int(np.searchsorted(self.ranks, rank, side="left"))
-        return Bucket(
-            np.insert(self.indices, position, np.intp(index)),
-            np.insert(self.ranks, position, rank),
-        )
+        position = int(np.searchsorted(ranks, rank, side="left"))
+        return Bucket.from_array(np.insert(self._members, position, (index, rank), axis=1))
 
     def filtered(self, keep: np.ndarray) -> "Bucket":
         """A new bucket keeping only the members where *keep* is True."""
-        return Bucket(
-            self.indices[keep],
-            None if self.ranks is None else self.ranks[keep],
-        )
+        return Bucket.from_array(np.compress(keep, self._members, axis=-1))
 
 
 def _integer_key_codes(keys: Sequence[Hashable]) -> Optional[np.ndarray]:
@@ -244,13 +264,18 @@ class LSHTables:
             new_group = np.any(sorted_codes[1:] != sorted_codes[:-1], axis=1)
         starts = np.concatenate(([0], np.flatnonzero(new_group) + 1))
         ends = np.concatenate((starts[1:], [codes.shape[0]]))
-        members_in_order = order.astype(np.intp)
+        members = order.astype(np.intp)
+        if ranks is not None:
+            # Rank order within each bucket; the stable sort keeps dataset
+            # order among equal ranks.  All buckets are views of one array.
+            group = np.repeat(np.arange(starts.size), ends - starts)
+            members = members[np.lexsort((ranks[members], group))]
+            members = np.array((members, ranks[members]))
         table = {}
         for start, end in zip(starts, ends):
-            members = members_in_order[start:end]
             row = sorted_codes[start]
             key = int(row) if codes.ndim == 1 else tuple(int(part) for part in row)
-            table[key] = Bucket.from_members(members, None if ranks is None else ranks[members])
+            table[key] = Bucket.from_array(members[..., start:end])
         return table
 
     # ------------------------------------------------------------------

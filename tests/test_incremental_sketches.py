@@ -41,6 +41,11 @@ def random_sets(rng, count, universe=60, low=3, high=10):
     ]
 
 
+def row_lists(sketch):
+    """A sketch's bottom-t rows as plain lists, for exact comparison."""
+    return [row.tolist() for row in sketch._rows]
+
+
 def assert_sketches_match_full_rebuild(engine):
     """The exact-equivalence invariant.
 
@@ -60,7 +65,7 @@ def assert_sketches_match_full_rebuild(engine):
             if live.size >= sampler.sketch_min_bucket:
                 expected_keys.add(key)
                 fresh = sampler._sketcher.sketch_keys(int(i) for i in live)
-                assert sketches[key]._rows == fresh._rows, (table_index, key)
+                assert row_lists(sketches[key]) == row_lists(fresh), (table_index, key)
         assert set(sketches) == expected_keys, table_index
 
 
@@ -112,11 +117,13 @@ class TestEquivalenceProperty:
         # Force the full-rebuild path over the same sketcher state: refresh
         # every bucket's sketch from its live members.
         sampler = engine.sampler
-        for table_index, table in enumerate(sampler.tables._tables):
-            for key in list(table):
-                sampler._refresh_bucket_sketch(
-                    table, sampler._bucket_sketches[table_index], key
-                )
+        sampler._refresh_bucket_sketches(
+            [
+                (table, sampler._bucket_sketches[table_index], key)
+                for table_index, table in enumerate(sampler.tables._tables)
+                for key in list(table)
+            ]
+        )
         sampler._estimate_cache.clear()
         rebuilt = [sampler.estimate_colliding_count(q) for q in queries]
         assert maintained == rebuilt
@@ -225,7 +232,7 @@ class TestIncrementalBehaviour:
                     live = bucket.indices[tables.alive[bucket.indices]]
                     if live.size >= sampler.sketch_min_bucket:
                         fresh = sampler._sketcher.sketch_keys(int(i) for i in live)
-                        assert sketches[key]._rows == fresh._rows
+                        assert row_lists(sketches[key]) == row_lists(fresh)
 
     def test_drainless_churn_overflows_delta_and_bounds_memory(self):
         """Regression: standalone tables (no consumer ever draining) must not
@@ -349,7 +356,7 @@ class TestIncrementalBehaviour:
                 live = tables._tables[table_index][key].indices
                 live = live[tables.alive[live]]
                 fresh = sampler._sketcher.sketch_keys(int(i) for i in live)
-                assert sketch._rows == fresh._rows
+                assert row_lists(sketch) == row_lists(fresh)
 
     def test_bucket_promoted_when_inserts_cross_cutoff(self):
         rng = np.random.default_rng(18)
@@ -414,6 +421,49 @@ class TestDeltaRoundTrip:
         assert loaded.tables.peek_delta().is_empty
         q = loaded.sampler.dataset[0]
         assert loaded.sample_batch([q] * 3) == engine.sample_batch([q] * 3)
+
+    def test_list_backed_sketch_rows_load_and_answer_identically(self, tmp_path):
+        """Snapshots may hold sketch rows as sorted lists of ints rather
+        than int64 arrays.  Such a sampler must load as is — never
+        re-sketched, which would redraw hashes — and answer
+        byte-identically, before and after further churn."""
+        import pickle
+
+        rng = np.random.default_rng(51)
+        engine = build_engine(random_sets(rng, 60), seed=53)
+        engine.insert_many(random_sets(rng, 5))
+        engine.delete(3)
+        engine._sync()
+        path = save_engine(engine, tmp_path / "snap")
+        reference = load_engine(path)
+
+        with open(path / "objects.pkl", "rb") as handle:
+            objects = pickle.load(handle)
+        converted = 0
+        for sketches in objects["sampler"]._bucket_sketches:
+            for sketch in sketches.values():
+                sketch._rows = [row.tolist() for row in sketch._rows]
+                converted += 1
+        assert converted
+        with open(path / "objects.pkl", "wb") as handle:
+            pickle.dump(objects, handle)
+        loaded = load_engine(path)
+
+        for mine, theirs in zip(
+            loaded.sampler._bucket_sketches, reference.sampler._bucket_sketches
+        ):
+            assert mine.keys() == theirs.keys()
+            for key, sketch in mine.items():
+                assert all(isinstance(row, np.ndarray) for row in sketch._rows)
+                assert row_lists(sketch) == row_lists(theirs[key])
+        queries = loaded.sampler.dataset[:12]
+        assert loaded.sample_batch(queries) == reference.sample_batch(queries)
+        joining = random_sets(rng, 4)
+        for restored in (loaded, reference):
+            restored.insert_many(joining)
+            restored.delete(5)
+        assert loaded.sample_batch(queries) == reference.sample_batch(queries)
+        assert_sketches_match_full_rebuild(loaded)
 
     def test_restored_engine_keeps_incremental_maintenance(self, tmp_path):
         rng = np.random.default_rng(29)

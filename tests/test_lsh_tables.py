@@ -61,6 +61,26 @@ class TestBucket:
         # Original bucket is untouched (inserted returns a copy).
         assert bucket.indices.tolist() == [10, 11]
 
+    def test_members_live_in_one_array(self):
+        """Each ranked bucket is one array object that owns its data, with
+        ``indices`` and ``ranks`` as views of it; tiny buckets dominate an
+        index, so a second array (or a base behind a view) per bucket costs
+        a large share of its memory."""
+        built = Bucket.from_members(np.array([4, 2, 7]), np.array([9, 1, 5]))
+        buckets = [
+            Bucket(np.array([3, 1]), np.array([5, 9])),
+            built,
+            built.inserted(8, 6),
+            built.filtered(np.array([True, False, True])),
+        ]
+        for bucket in buckets:
+            members = bucket._members
+            assert members.shape == (2, len(bucket)) and members.base is None
+            assert bucket.indices.base is members and bucket.ranks.base is members
+        assert built.indices.tolist() == [2, 7, 4] and built.ranks.tolist() == [1, 5, 9]
+        assert buckets[2].indices.tolist() == [2, 7, 8, 4]
+        assert buckets[3].indices.tolist() == [2, 4] and buckets[3].ranks.tolist() == [1, 9]
+
     def test_inserted_rank_mismatch_raises(self):
         with pytest.raises(InvalidParameterError):
             Bucket(np.array([0])).inserted(1, 5)

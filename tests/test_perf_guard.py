@@ -5,9 +5,9 @@ Wall-clock assertions are flaky on shared CI runners, so this file pins the
 pipeline's *work counters* instead — the quantities that made the
 vectorization a speedup in the first place:
 
-* ``kernel_calls`` must scale with rejection rounds / probed buckets, never
-  with candidates (a regression to per-candidate evaluation multiplies it by
-  the bucket size);
+* ``kernel_calls`` must scale with rejection-round blocks / probed buckets,
+  never with candidates (a regression to per-candidate evaluation multiplies
+  it by the bucket size);
 * ``distance_evaluations`` must stay bounded by the number of *distinct*
   candidates (a regression in the per-query memo re-evaluates duplicates);
 * the engine-level ``distance_kernel_calls`` aggregate must stay a small
@@ -17,6 +17,8 @@ The workload is seeded and the counters are exact deterministic functions of
 it, so any failure here is a real behavioural regression, not noise.
 The CI ``perf-guard`` job runs exactly this file.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -100,6 +102,35 @@ class TestKernelCallScaling:
         # points, however many rounds re-examine them.
         assert stats.distance_evaluations <= heavy_workload["n"]
 
+    @pytest.mark.parametrize(
+        "query_index, pins",
+        [
+            # (answer, rounds, kernel_calls, distance_evaluations); scoring
+            # one round per kernel call made 184 and 181 calls here, and 300
+            # and 293 distance evaluations.
+            (None, (None, 748, 24, 300)),
+            (2, (81, 404, 24, 299)),
+        ],
+    )
+    def test_independent_sampler_scores_rounds_in_blocks(self, heavy_workload, query_index, pins):
+        """Section 4 scores a ``k`` level's rounds in blocks of 8, 16, 32, ...
+
+        One kernel call per block at most: a regression to one call per
+        rejection round multiplies ``kernel_calls`` by about eight.
+        """
+        sampler = _lsh(IndependentFairSampler).fit(heavy_workload["dataset"])
+        if query_index is None:
+            result = sampler.sample_detailed(heavy_workload["query"])
+        else:
+            query = heavy_workload["dataset"][query_index]
+            result = sampler.sample_detailed(query, exclude_index=query_index)
+        stats = result.stats
+        sigma = max(1, math.ceil(sampler.sigma_factor * sampler._log_n() ** 2))
+        assert stats.kernel_calls <= _block_count(stats.rounds, sigma)
+        assert stats.kernel_calls <= stats.rounds
+        assert stats.distance_evaluations <= heavy_workload["n"]
+        assert (result.index, stats.rounds, stats.kernel_calls, stats.distance_evaluations) == pins
+
     def test_permutation_sampler_logarithmic_kernel_calls(self, heavy_workload):
         sampler = _lsh(PermutationFairSampler).fit(heavy_workload["dataset"])
         result = sampler.sample_detailed(heavy_workload["query"])
@@ -113,6 +144,19 @@ class TestKernelCallScaling:
         result = sampler.sample_detailed(heavy_workload["query"])
         assert result.stats.kernel_calls <= result.stats.buckets_probed
         assert result.stats.distance_evaluations <= heavy_workload["n"]
+
+
+def _block_count(rounds: int, sigma: int, first_block: int = 8) -> int:
+    """Blocks that score *rounds* rounds, in ``k`` levels of *sigma* rounds."""
+    blocks = 0
+    while rounds > 0:
+        level, size = min(rounds, sigma), first_block
+        rounds -= level
+        while level > 0:
+            blocks += 1
+            level -= size
+            size *= 2
+    return blocks
 
 
 class TestEngineAggregates:

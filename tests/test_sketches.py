@@ -29,6 +29,30 @@ class TestPairwiseIndependentHash:
         keys = np.arange(30)
         np.testing.assert_array_equal(h.hash_array(keys), [h(int(k)) for k in keys])
 
+    @pytest.mark.parametrize("output_range", [2**20, 4000**3, 2**61 - 1, 2**61, 2**64 + 3])
+    def test_hash_array_is_exact_at_the_edges(self, output_range):
+        """Uint64 Mersenne arithmetic equals the Python-int scalar hash."""
+        prime = 2**61 - 1
+        keys = np.array(
+            [0, 1, 2**31 - 1, 2**32, 2**61 - 2, 2**61 - 1, 2**61, 2**62, 2**63 - 1],
+            dtype=np.int64,
+        )
+        rng = np.random.default_rng(output_range % 1000)
+        keys = np.concatenate([keys, rng.integers(0, 2**63 - 1, size=200, dtype=np.int64)])
+        multipliers = [(prime - 1, prime - 1), (1, 0), (prime - 1, 0), (2**32 + 1, prime - 1)]
+        multipliers += [(int(rng.integers(1, prime)), int(rng.integers(0, prime))) for _ in range(5)]
+        for a, b in multipliers:
+            h = PairwiseIndependentHash(a=a, b=b, output_range=output_range)
+            values = h.hash_array(keys)
+            assert values.dtype == np.int64
+            assert values.tolist() == [h(int(k)) for k in keys], (a, b)
+
+    def test_hash_array_rejects_negative_keys(self):
+        h = PairwiseIndependentHash.sample(10**6, seed=4)
+        with pytest.raises(InvalidParameterError):
+            h.hash_array(np.array([3, -1]))
+        assert h.hash_array(np.empty(0, dtype=np.int64)).size == 0
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             PairwiseIndependentHash(a=0, b=0, output_range=10)
@@ -101,6 +125,58 @@ class TestBottomTSketch:
         for true_count in (50, 500, 2000):
             estimate = sketcher.sketch_keys(range(true_count)).estimate()
             assert 0.5 * true_count <= estimate <= 1.6 * true_count
+
+
+def _rows(sketch):
+    return [row.tolist() for row in sketch._rows]
+
+
+def _reference_rows(sketcher, keys):
+    """Bottom-t rows computed with the scalar hash and Python sets."""
+    return [sorted({h(int(k)) for k in keys})[: sketcher.t] for h in sketcher._hashes]
+
+
+class TestBatchedSketchOperations:
+    """The array paths equal one-key-at-a-time bottom-t sketching."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sketch_groups_equal_per_group_sketches(self, seed):
+        rng = np.random.default_rng(seed)
+        sketcher = DistinctCountSketcher(universe_size=5000, epsilon=0.5, seed=seed)
+        # Empty, tiny, exactly-t and much-larger-than-t groups, with repeats.
+        sizes = [0, 1, sketcher.t, sketcher.t + 1, 3, 200, 0, 57]
+        groups = [rng.integers(0, 5000, size=size) for size in sizes]
+        sketches = sketcher.sketch_groups(groups)
+        assert len(sketches) == len(groups)
+        for sketch, group in zip(sketches, groups):
+            assert _rows(sketch) == _reference_rows(sketcher, group)
+            assert _rows(sketch) == _rows(sketcher.sketch_keys(group))
+        assert sketcher.sketch_groups([]) == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fold_keys_equals_add_keys(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        sketcher = DistinctCountSketcher(universe_size=5000, epsilon=0.5, seed=seed)
+        starts = [rng.integers(0, 5000, size=size) for size in (0, 5, 16, 40, 300, 300)]
+        batches = [list(rng.integers(0, 5000, size=size)) for size in (3, 0, 30, 1, 500, 2)]
+        # Mostly small batches into full sketches, as mutation deltas are:
+        # a new value just below a row's t-th value must still get in.
+        starts += [rng.integers(0, 5000, size=rng.integers(100, 300)) for _ in range(80)]
+        batches += [list(rng.integers(0, 5000, size=rng.integers(1, 6))) for _ in range(80)]
+        folded = [sketcher.sketch_keys(keys) for keys in starts]
+        sketcher.fold_keys(folded, batches)
+        for sketch, start, batch in zip(folded, starts, batches):
+            expected = sketcher.sketch_keys(start).add_keys(batch)
+            assert _rows(sketch) == _rows(expected)
+            assert _rows(sketch) == _reference_rows(sketcher, list(start) + batch)
+
+    def test_merge_all_equals_the_union_stream(self):
+        sketcher = DistinctCountSketcher(universe_size=5000, epsilon=0.5, seed=9)
+        parts = [sketcher.sketch_keys(range(i * 40, i * 40 + 70)) for i in range(5)]
+        parts.append(sketcher.new_sketch())
+        merged = BottomTSketch.merge_all(parts)
+        assert _rows(merged) == _reference_rows(sketcher, range(0, 230))
+        assert _rows(merged) == _rows(sketcher.sketch_keys(range(0, 230)))
 
 
 class TestDistinctCountSketcher:

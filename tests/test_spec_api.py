@@ -17,6 +17,7 @@ Four guarantees are pinned down here:
 
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import pathlib
@@ -63,6 +64,9 @@ CANONICAL_SPECS = {
 
 
 def _concrete_subclasses(base):
+    # Classes a test defined locally stay in __subclasses__() until the
+    # cyclic collector frees them; collect first so only live classes count.
+    gc.collect()
     seen = set()
     stack = list(base.__subclasses__())
     while stack:
