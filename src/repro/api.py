@@ -246,7 +246,9 @@ class FairNN:
             Allocated dataset slots, live and tombstoned — what the index
             structurally holds until compaction reclaims space.
         ``pending_tombstones``
-            Deleted slots not yet swept by compaction.
+            Deleted slots not yet swept by compaction.  The engines sweep
+            at each batch sync, so this reads 0 after any batch and counts
+            only the deletes made since the last one.
         ``memory_bytes``
             Resident bytes of the columnar dataset store plus the rank
             array, when a store exists (``None`` otherwise — e.g. static
@@ -632,7 +634,7 @@ class FairNN:
         return indices
 
     def delete(self, index: int, idempotency_key: Optional[str] = None) -> None:
-        """Remove one point online (tombstone + amortized compaction).
+        """Remove one point online (tombstone; the next batch sync sweeps it).
 
         Subject to the same LSH-only restriction as :meth:`insert_many`.
         Deleting an out-of-range slot raises

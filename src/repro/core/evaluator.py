@@ -4,10 +4,13 @@
 procedures and the distance layer.  Each query builds one evaluator; every
 candidate array the query wants scored goes through :meth:`values`, which
 
-* memoizes results in a flat ``float64`` array indexed by dataset slot
-  (``NaN`` = not yet evaluated), replacing the per-``int`` dict caches the
-  scalar loops used — re-examining a candidate in a later rejection round is
-  an array gather, not a Python dict probe per index;
+* memoizes results in a flat ``float64`` array indexed by dataset slot,
+  with a ``bool`` mask of the slots already evaluated, replacing the
+  per-``int`` dict caches the scalar loops used — re-examining a candidate in
+  a later rejection round is an array gather, not a Python dict probe per
+  index.  Neither array is filled at construction (an all-``False`` mask is
+  zeroed memory), so a query that scores a few dozen candidates does not pay
+  for writing one value per dataset slot;
 * evaluates all not-yet-seen candidates with **one**
   :meth:`~repro.distances.base.Measure.values_at` kernel call, so a
   rejection round costs one kernel invocation instead of one Python-level
@@ -23,10 +26,9 @@ are *exactly* equivalent: the scalar measure implementations share the batch
 kernels' arithmetic recipes, so seeded sampler outputs are byte-identical
 either way (property-tested in ``tests/test_vectorized_equivalence.py``).
 
-One caveat of the ``NaN``-sentinel memo: a pair whose measure value is
-itself ``NaN`` (possible only with NaN-poisoned input data) is re-evaluated
-on every round and re-counted in ``fresh_evaluations``.  Correctness is
-unaffected; only the counters inflate for such degenerate inputs.
+Every pair is evaluated and counted at most once per query, whatever its
+value — a ``NaN`` measure value (NaN-poisoned input data) is memoized like
+any other.
 """
 
 from __future__ import annotations
@@ -82,7 +84,16 @@ class CandidateEvaluator:
         Number of dataset slots; bounds the memo array.
     """
 
-    __slots__ = ("_measure", "_query", "_store", "_dataset", "_memo", "fresh_evaluations", "kernel_calls")
+    __slots__ = (
+        "_measure",
+        "_query",
+        "_store",
+        "_dataset",
+        "_memo",
+        "_seen",
+        "fresh_evaluations",
+        "kernel_calls",
+    )
 
     def __init__(
         self,
@@ -96,7 +107,8 @@ class CandidateEvaluator:
         self._query = query
         self._store = store if (_VECTORIZE and store is not None) else None
         self._dataset = dataset
-        self._memo = np.full(size, np.nan, dtype=np.float64)
+        self._memo = np.empty(size, dtype=np.float64)
+        self._seen = np.zeros(size, dtype=bool)
         #: Pair evaluations actually performed (memo misses).
         self.fresh_evaluations = 0
         #: Batch evaluations dispatched (one per round with any memo miss).
@@ -114,11 +126,12 @@ class CandidateEvaluator:
             return np.empty(0, dtype=np.float64)
         memo = self._memo
         values = memo[indices]
-        miss_mask = np.isnan(values)
+        miss_mask = ~self._seen[indices]
         if miss_mask.any():
             missing = indices[miss_mask]
             fresh = self._evaluate(missing)
             memo[missing] = fresh
+            self._seen[missing] = True
             values[miss_mask] = fresh
             self.fresh_evaluations += int(missing.size)
             self.kernel_calls += 1
@@ -126,9 +139,8 @@ class CandidateEvaluator:
 
     def value(self, index: int) -> float:
         """Memoized scalar lookup (one slot)."""
-        cached = self._memo[index]
-        if not np.isnan(cached):
-            return float(cached)
+        if self._seen[index]:
+            return float(self._memo[index])
         return float(self.values(np.asarray([index], dtype=np.intp))[0])
 
     # ------------------------------------------------------------------

@@ -29,6 +29,30 @@ from repro.types import Point
 from repro.registry import register_sampler
 
 
+def _first_occurrences(ranks: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Positions of each point's first (lowest-rank) occurrence in a view.
+
+    A point colliding in several tables appears once per table, always with
+    its one rank, so in a rank-sorted view its copies are adjacent: the
+    positions whose index differs from the predecessor's deduplicate the
+    view in one pass, already in rank order.  Only two *distinct* points
+    sharing a rank (or a view out of rank order) can interleave copies;
+    such views go through :func:`_first_occurrences_by_sorting`.
+    """
+    if indices.size < 2:
+        return np.arange(indices.size)
+    new_point = indices[1:] != indices[:-1]
+    if np.any(new_point & (ranks[1:] <= ranks[:-1])):
+        return _first_occurrences_by_sorting(indices)
+    return np.flatnonzero(np.concatenate(([True], new_point)))
+
+
+def _first_occurrences_by_sorting(indices: np.ndarray) -> np.ndarray:
+    """:func:`_first_occurrences` for any view, at the price of two sorts."""
+    _, first_seen = np.unique(indices, return_index=True)
+    return np.sort(first_seen)
+
+
 @register_sampler("permutation", inputs="family")
 class PermutationFairSampler(LSHNeighborSampler):
     """Fair r-near-neighbor sampling via a random rank permutation."""
@@ -105,13 +129,10 @@ class PermutationFairSampler(LSHNeighborSampler):
         ``distance_evaluations`` counts the pairs actually scored (the final
         chunk may overshoot the hit).
         """
-        _, indices = view
+        ranks, indices = view
         stats = QueryStats(buckets_probed=self.tables.num_tables)
         evaluator = self._evaluator(query)
-        # Dedupe keeping each point's first (lowest-rank) occurrence, then
-        # restore rank order among the survivors.
-        unique, first_seen = np.unique(indices, return_index=True)
-        candidates = unique[np.argsort(first_seen, kind="stable")]
+        candidates = indices[_first_occurrences(ranks, indices)]
         if exclude_index is not None:
             candidates = candidates[candidates != exclude_index]
 
@@ -157,11 +178,10 @@ class PermutationFairSampler(LSHNeighborSampler):
             return self.sample_detailed_from_candidates(
                 query, view, exclude_index=exclude_index
             )
-        _, indices = view
+        ranks, indices = view
         stats = QueryStats(buckets_probed=self.tables.num_tables)
         evaluator = self._evaluator(query)
-        unique, first_seen = np.unique(indices, return_index=True)
-        candidates = unique[np.argsort(first_seen, kind="stable")]
+        candidates = indices[_first_occurrences(ranks, indices)]
         if exclude_index is not None:
             candidates = candidates[candidates != exclude_index]
 
@@ -221,10 +241,9 @@ class PermutationFairSampler(LSHNeighborSampler):
             if result.index is None:
                 return []
             return [int(result.index)] * k
-        _, indices = view
+        ranks, indices = view
         evaluator = self._evaluator(query)
-        unique, first_seen = np.unique(indices, return_index=True)
-        candidates = unique[np.argsort(first_seen, kind="stable")]
+        candidates = indices[_first_occurrences(ranks, indices)]
 
         found: List[int] = []
         start = 0
@@ -268,10 +287,9 @@ class PermutationFairSampler(LSHNeighborSampler):
         """
         ranks, indices = self.tables.colliding_view(query)
         evaluator = self._evaluator(query)
-        unique, first_seen = np.unique(indices, return_index=True)
-        order = np.argsort(first_seen, kind="stable")
-        candidates = unique[order]
-        candidate_ranks = ranks[first_seen[order]]
+        first = _first_occurrences(ranks, indices)
+        candidates = indices[first]
+        candidate_ranks = ranks[first]
 
         found: List[tuple] = []
         start = 0

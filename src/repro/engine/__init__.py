@@ -6,7 +6,7 @@ system:
 
 * :class:`~repro.engine.dynamic.DynamicLSHTables` — LSH tables that absorb
   inserts and deletes online (rank-sorted bucket insertion, tombstone
-  deletes, amortized compaction) while preserving the rank exchangeability
+  deletes, targeted compaction sweeps) while preserving the rank exchangeability
   the fair samplers' uniformity guarantees rest on, and that report every
   mutation batch as a structured
   :class:`~repro.engine.dynamic.MutationDelta` so attached samplers can

@@ -34,7 +34,8 @@ make a batch of ``m`` queries much cheaper than ``m`` independent calls:
    :meth:`~repro.core.base.LSHNeighborSampler.notify_update`, so samplers
    with expensive derived state (the Section 4 sketches) pay incremental,
    per-affected-bucket maintenance per *batch of updates*, not a full
-   rebuild per update.
+   rebuild per update.  The same sync first sweeps the batch's tombstones
+   out of their buckets, so gathers never filter dead references.
 
 Engines over a static :class:`~repro.lsh.tables.LSHTables` support
 everything except mutation.
@@ -371,7 +372,7 @@ class BatchQueryEngine:
         return indices
 
     def delete(self, index: int) -> None:
-        """Remove a point online (tombstone + amortized compaction)."""
+        """Remove a point online (tombstone; the next batch sync sweeps it)."""
         tables = self._dynamic_tables()
         with self._mutate_lock:
             if self._wal is not None:
@@ -416,12 +417,15 @@ class BatchQueryEngine:
                 self._tables_dirty = True
 
     def _sync(self) -> None:
-        """Propagate pending index mutations to the sampler (lazily, per batch).
+        """Sweep pending tombstones, then propagate mutations to the sampler.
 
-        ``notify_update`` drains the tables' accumulated
-        :class:`~repro.engine.dynamic.MutationDelta`, so the sampler sees one
-        structured description of everything that changed since the last
-        batch and can update only the affected per-bucket state.
+        Runs lazily, once per batch.  The sweep
+        (:meth:`~repro.engine.dynamic.DynamicLSHTables.compact`) comes
+        first, so served gathers see clean buckets and the swept keys land
+        in the same :class:`~repro.engine.dynamic.MutationDelta` that
+        ``notify_update`` then drains: the sampler sees one structured
+        description of everything that changed since the last batch and can
+        update only the affected per-bucket state.
         """
         if not self._tables_dirty:
             return
@@ -429,9 +433,12 @@ class BatchQueryEngine:
             if not self._tables_dirty:
                 return
             tables = self.tables
+            dynamic = isinstance(tables, DynamicLSHTables)
+            if dynamic and tables.pending_tombstones:
+                tables.compact()
             if isinstance(self.sampler, LSHNeighborSampler):
                 self.sampler.notify_update()
-            if isinstance(tables, DynamicLSHTables):
+            if dynamic:
                 self.stats.rebuilds_triggered = tables.rebuilds_triggered
             self._tables_dirty = False
 
@@ -461,6 +468,13 @@ class BatchQueryEngine:
 
     def _run_batch(self, requests: Sequence[Union[QueryRequest, Point]]) -> List[QueryResponse]:
         self._sync()
+        tables = self.tables
+        if not isinstance(tables, DynamicLSHTables):
+            return self._answer_batch(requests)
+        with tables.serving_batch():
+            return self._answer_batch(requests)
+
+    def _answer_batch(self, requests: Sequence[Union[QueryRequest, Point]]) -> List[QueryResponse]:
         normalized = [
             request if isinstance(request, QueryRequest) else QueryRequest(query=request)
             for request in requests

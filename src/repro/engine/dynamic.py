@@ -1,4 +1,4 @@
-"""Mutable LSH tables: inserts, tombstone deletes, amortized compaction.
+"""Mutable LSH tables: inserts, tombstone deletes, targeted compaction sweeps.
 
 :class:`DynamicLSHTables` extends the static
 :class:`~repro.lsh.tables.LSHTables` storage with online updates so the
@@ -11,13 +11,21 @@ serving engine can absorb churn without rebuilding the index:
   mask and queries filter it out lazily, so a delete is ``O(1)`` (the
   buckets it vacated are resolved later, in one vectorized hashing pass
   over the whole batch, when the mutation delta is read);
-* when the fraction of un-swept tombstones exceeds
-  ``max_tombstone_fraction``, every bucket is compacted in one sweep.  The
-  sweep visits all ``O(n * L)`` stored references, so with a trigger every
-  ``max_tombstone_fraction * n`` deletes the amortized cost is
-  ``O(L / max_tombstone_fraction)`` per delete — constant per (delete,
-  table) pair, far below a refit, but a sweep is a real pause on large
-  indexes; size serving budgets accordingly.
+* a **compaction sweep** drops pending tombstones from their buckets and
+  releases their slots.  It is targeted: the pending points are hashed once
+  and only the ``L`` buckets under their keys are rewritten, so a sweep
+  costs ``O(pending x L x bucket size)`` however large the index.  The
+  serving engine sweeps at every batch sync that finds tombstones pending,
+  so served gathers never filter dead references; between syncs, crossing
+  ``max_tombstone_fraction`` of the live points sweeps from ``delete``.
+
+**Concurrency.**  Mutations, sweeps and delta reads run under one lock per
+table set, so request threads may mutate concurrently; queries read without
+it (a bucket is replaced, never edited in place), and an insert fills its
+slots before it splices buckets.  A batch in flight may still score points
+that views it gathered before a sweep name, so while any batch is in flight
+(:meth:`serving_batch`) a sweep cleans the buckets but leaves the swept
+slots' point objects in place; the last batch out releases them.
 
 **Mutation deltas.**  Every mutation is additionally recorded in a
 :class:`MutationDelta` — per table, which bucket keys gained which members,
@@ -44,14 +52,18 @@ partition the right interval.
 Dataset indices are *stable*: a deleted slot keeps its index forever and
 compaction never renumbers, so historical responses and ``exclude_index``
 arguments stay meaningful.  The slot's *point object* survives only until
-the next compaction sweep, which releases it (the dataset entry becomes
-``None``) — queries never dereference dead slots, but callers holding old
-indices should not either once they have deleted them.  The engine's
+the compaction sweep that removes it, which releases it (the dataset entry
+becomes ``None``; see **Concurrency** for batches in flight) — queries
+never dereference dead slots, but callers holding old indices should not
+either once they have deleted them.  The engine's
 snapshot layer persists the liveness mask alongside the buckets.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Set
 
@@ -73,6 +85,17 @@ from repro.types import Dataset, Point
 #: Exclusive upper bound of the dynamic rank domain.  62 bits keeps every
 #: rank representable in a signed int64 with headroom for searchsorted bounds.
 RANK_DOMAIN = 1 << 62
+
+
+def serialized(method):
+    """Run a table method under the tables' mutation lock."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
 
 
 @dataclass
@@ -179,8 +202,8 @@ class DynamicLSHTables(LSHTables):
         Whether buckets carry rank-sorted members (required by the fair
         samplers; the standard-LSH baseline can turn it off).
     max_tombstone_fraction:
-        When pending tombstones exceed this fraction of stored slots, every
-        bucket is compacted in one sweep.
+        When pending tombstones exceed this fraction of the live points,
+        ``delete`` runs a compaction sweep.
     seed:
         Also drives the rank draws for ``fit`` and every ``insert``.
     """
@@ -231,10 +254,28 @@ class DynamicLSHTables(LSHTables):
         # Attached samplers score candidates against this one store, so it is
         # kept in sync by insert_many/compact instead of rebuilt per batch.
         self._store = None
+        # Serializes mutations, sweeps and delta reads (request threads
+        # mutate concurrently; reentrant because delete may compact), and
+        # guards the count of serving batches in flight and the swept slots
+        # whose release waits for them.
+        self._lock = threading.RLock()
+        self._batches_in_flight = 0
+        self._unreleased: list = []
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        state["_batches_in_flight"] = 0
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    @serialized
     def fit(self, dataset: Dataset, ranks: Optional[np.ndarray] = None) -> "DynamicLSHTables":
         """Build the tables, drawing i.i.d. dynamic ranks unless given.
 
@@ -265,6 +306,7 @@ class DynamicLSHTables(LSHTables):
             self._ranks = self._ranks_buf[:n]
         self._num_live = n
         self._pending.clear()
+        self._unreleased = []
         # A refit supersedes any unconsumed mutation history.
         self._delta = MutationDelta.empty(self.l, start_epoch=self.mutation_epoch)
         self._unresolved_deletes = []
@@ -334,6 +376,7 @@ class DynamicLSHTables(LSHTables):
         """Dead references still present in bucket arrays (cleared by compaction)."""
         return len(self._pending)
 
+    @serialized
     def peek_delta(self) -> MutationDelta:
         """The unconsumed :class:`MutationDelta` (without draining it)."""
         self._resolve_delta()
@@ -356,14 +399,7 @@ class DynamicLSHTables(LSHTables):
             self._unresolved_deletes.clear()
             self._unresolved_inserts.clear()
             return
-        if self._unresolved_deletes:
-            keys_per_point = self.query_keys_many(
-                [point for _, point in self._unresolved_deletes]
-            )
-            for (index, _), keys in zip(self._unresolved_deletes, keys_per_point):
-                for table_index, key in enumerate(keys):
-                    self._delta.tombstoned_members[table_index].setdefault(key, []).append(index)
-            self._unresolved_deletes.clear()
+        self._resolve_deletes()
         if self._unresolved_inserts:
             inserted_members = self._delta.inserted_members
             for start, keys_per_point in self._unresolved_inserts:
@@ -373,6 +409,25 @@ class DynamicLSHTables(LSHTables):
                         inserted_members[table_index].setdefault(key, []).append(index)
             self._unresolved_inserts.clear()
 
+    def _resolve_deletes(self) -> Dict[int, List[Hashable]]:
+        """Fold the unresolved deletes into the delta's ``tombstoned_members``.
+
+        Returns the per-table keys it hashed, by slot, so a compaction sweep
+        reuses them instead of hashing the same points again.
+        """
+        if not self._unresolved_deletes or self._delta.overflowed:
+            self._unresolved_deletes.clear()
+            return {}
+        keys_per_point = self.query_keys_many([point for _, point in self._unresolved_deletes])
+        keys_of = {}
+        for (index, _), keys in zip(self._unresolved_deletes, keys_per_point):
+            keys_of[index] = keys
+            for table_index, key in enumerate(keys):
+                self._delta.tombstoned_members[table_index].setdefault(key, []).append(index)
+        self._unresolved_deletes.clear()
+        return keys_of
+
+    @serialized
     def drain_delta(self) -> MutationDelta:
         """Return and reset the mutations accumulated since the last drain.
 
@@ -388,6 +443,7 @@ class DynamicLSHTables(LSHTables):
         self._delta = MutationDelta.empty(self.l, start_epoch=self.mutation_epoch)
         return delta
 
+    @serialized
     def discard_delta(self) -> None:
         """Drop the unconsumed mutation record without resolving it.
 
@@ -431,6 +487,7 @@ class DynamicLSHTables(LSHTables):
         """
         return self.insert_many([point], ranks=None if rank is None else [rank])[0]
 
+    @serialized
     def insert_many(self, points: Dataset, ranks=None) -> List[int]:
         """Bulk insert; returns the new (stable) dataset indices in order.
 
@@ -447,6 +504,22 @@ class DynamicLSHTables(LSHTables):
         new_ranks = self._checked_insert_ranks(count, ranks)
         start = self._n
         keys_per_point = self.query_keys_many(points)
+        # Slots first: queries read buckets without the lock, so any index a
+        # spliced bucket shows must already have its point, rank and
+        # liveness bit.
+        self._points.extend(points)
+        # A store-backed point container (out-of-core tiers) routes extend()
+        # into the store itself; appending again would duplicate the rows.
+        if self._store not in (None, False) and not points_share_store(
+            self._points, self._store
+        ):
+            try:
+                self._store.append(points)
+            except Exception:
+                # The batch does not fit the columnar layout (e.g. a new
+                # dimensionality); scoring falls back to the scalar loop.
+                self._store = False
+        self._grow_slots(new_ranks, count)
         # A fresh singleton bucket is a view of this one members array.
         batch_members = np.arange(start, start + count, dtype=np.intp)
         if new_ranks is not None:
@@ -481,19 +554,6 @@ class DynamicLSHTables(LSHTables):
                         if bucket.ranks is None
                         else np.concatenate([bucket.ranks, added_ranks]),
                     )
-        self._points.extend(points)
-        # A store-backed point container (out-of-core tiers) routes extend()
-        # into the store itself; appending again would duplicate the rows.
-        if self._store not in (None, False) and not points_share_store(
-            self._points, self._store
-        ):
-            try:
-                self._store.append(points)
-            except Exception:
-                # The batch does not fit the columnar layout (e.g. a new
-                # dimensionality); scoring falls back to the scalar loop.
-                self._store = False
-        self._grow_slots(new_ranks, count)
         indices = list(range(start, start + count))
         self._delta.inserted.extend(indices)
         # Park the key lists for the delta; they are grouped into per-table
@@ -549,13 +609,14 @@ class DynamicLSHTables(LSHTables):
         self._n = needed
         self._num_live += count
 
+    @serialized
     def delete(self, index: int) -> None:
         """Tombstone the point at *index*; queries stop returning it at once.
 
         O(1): the mutation delta's record of which buckets lost the member
         is resolved lazily — all of a batch's tombstoned points are hashed
-        in one vectorized pass when the delta is next read.  Triggers a full
-        bucket compaction when the pending-tombstone fraction crosses
+        in one vectorized pass when the delta is next read.  Triggers a
+        compaction sweep when the pending-tombstone fraction crosses
         :attr:`max_tombstone_fraction`.
 
         Raises
@@ -590,25 +651,109 @@ class DynamicLSHTables(LSHTables):
         if len(self._pending) > self.max_tombstone_fraction * max(1, self._num_live):
             self.compact()
 
+    @serialized
     def compact(self) -> None:
-        """Sweep every bucket, dropping tombstoned members.
+        """Drop the pending tombstones from their buckets and release their slots.
+
+        A tombstoned point sits in exactly one bucket per table — the one
+        under its own key — so the sweep hashes the pending points once
+        (:meth:`query_keys_many`, sharing the pass that records them in the
+        mutation delta) and rewrites only those buckets, deleting
+        the ones it empties: ``O(pending x L x bucket size)`` work, however
+        large the index.  The sweep then checks that it removed exactly
+        ``len(pending) x L`` dead references.  A point hashed at ``fit``
+        (one batched product over the dataset) and rehashed here (per point)
+        can in principle land one ulp across a p-stable floor boundary;
+        should a key ever disagree, a walk over every stored reference
+        finishes the sweep.
 
         Indices are *not* renumbered — live points keep their identity — so
-        no rehashing is needed: a live point's bucket keys are unchanged.
+        a live point's bucket keys never change.  The serving engine calls
+        this at every batch sync with tombstones pending, so served gathers
+        see clean buckets; :attr:`max_tombstone_fraction` still bounds the
+        pending set between syncs.  The swept slots' point objects are
+        released at once, or when the last serving batch in flight ends.
         """
         self._check_fitted()
         if not self._pending:
             return
-        # Buckets average O(1) members (n references spread over up to n
-        # buckets per table), where numpy fancy-indexing overhead per bucket
-        # dwarfs the work; a plain-Python membership scan is ~10x faster,
-        # and a set-disjointness pre-check skips clean buckets entirely.
-        # Only tombstones created since the last sweep can appear in buckets
-        # (earlier ones were already swept), so the slot-release loop below is
-        # bounded by the pending set and per-sweep work never grows with
-        # lifetime deletes.  The bucket scan itself still visits every stored
-        # reference once — that is the O(L / max_tombstone_fraction)-per-delete
-        # amortized cost documented in the module docstring.
+        dead = self._pending
+        keys_of = self._resolve_deletes()
+        # A delete whose delta record was already read or dropped is hashed
+        # here.
+        missing = [index for index in dead if index not in keys_of]
+        if missing:
+            keys_of.update(
+                zip(missing, self.query_keys_many([self._points[index] for index in missing]))
+            )
+        keys_per_point = [keys_of[index] for index in dead]
+        alive = self._alive
+        removed = 0
+        for table_index, table in enumerate(self._tables):
+            swept = self._delta.compacted_keys[table_index]
+            for key in {keys[table_index] for keys in keys_per_point}:
+                bucket = table.get(key)
+                if bucket is None:
+                    continue
+                keep = alive[bucket.indices]
+                kept = int(np.count_nonzero(keep))
+                if kept == keep.size:
+                    continue
+                removed += keep.size - kept
+                swept.add(key)
+                if kept:
+                    table[key] = bucket.filtered(keep)
+                else:
+                    del table[key]
+        if removed != len(dead) * self.l:
+            self._sweep_all_buckets()
+        self.mutation_epoch += 1
+        self._release(dead)
+        self._pending.clear()
+        self.rebuilds_triggered += 1
+
+    def _release(self, indices) -> None:
+        """Release swept slots' point objects, once no batch is in flight.
+
+        Slots are deliberately not renumbered — index stability is what
+        lets samplers, responses and snapshots keep referring to points
+        across mutations — so the slot itself (a None entry, a rank, a
+        liveness bit) is the only per-delete residue kept for the index's
+        lifetime.
+        """
+        self._unreleased.extend(indices)
+        if self._batches_in_flight:
+            return  # the last batch out releases them (serving_batch)
+        for index in self._unreleased:
+            self._points[index] = None
+            if self._store not in (None, False):
+                self._store.release(index)
+        self._unreleased.clear()
+
+    @contextmanager
+    def serving_batch(self):
+        """Count one serving batch in flight for the duration of the context.
+
+        A batch scores the point objects its gathered views name, so a
+        sweep meanwhile keeps them (see :meth:`_release`).
+        """
+        with self._lock:
+            self._batches_in_flight += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._batches_in_flight -= 1
+                if not self._batches_in_flight and self._unreleased:
+                    self._release(())
+
+    def _sweep_all_buckets(self) -> None:
+        """The checked fallback of :meth:`compact`: walk every bucket.
+
+        Buckets average O(1) members, where numpy fancy-indexing overhead
+        per bucket dwarfs the work; a plain-Python membership scan is ~10x
+        faster, and a set-disjointness pre-check skips clean buckets.
+        """
         alive = self._alive.tolist()
         dead = self._pending
         for table_index, table in enumerate(self._tables):
@@ -629,18 +774,6 @@ class DynamicLSHTables(LSHTables):
                     )
             for key in dead_keys:
                 del table[key]
-        self.mutation_epoch += 1
-        # Release the swept points' memory.  Slots are deliberately not
-        # renumbered — index stability is what lets samplers, responses and
-        # snapshots keep referring to points across mutations — so the slot
-        # itself (a None entry, a rank, a liveness bit) is the only per-delete
-        # residue kept for the index's lifetime.
-        for index in dead:
-            self._points[index] = None
-            if self._store not in (None, False):
-                self._store.release(index)
-        self._pending.clear()
-        self.rebuilds_triggered += 1
 
     # ------------------------------------------------------------------
     # Queries (liveness-aware)

@@ -158,7 +158,8 @@ def _shard_baseline(shard: DynamicLSHTables) -> bytes:
     starts empty, the columnar store is marked inapplicable (bucket gathers
     never dereference points; mutation payloads carry their own points), and
     the point container is reduced to placeholders of the right length so
-    ``delete``/``compact`` bookkeeping stays index-correct.  Unconsumed
+    ``delete``/``compact`` bookkeeping stays index-correct — except the
+    pending tombstones, which a compaction sweep hashes.  Unconsumed
     delta state is dropped: replicas discard their delta after every applied
     op, so a baseline must not resurrect one.
     """
@@ -169,6 +170,8 @@ def _shard_baseline(shard: DynamicLSHTables) -> bytes:
     clone.key_cache_hits = 0
     clone._store = False
     clone._points = [None] * len(shard._points)
+    for index in shard._pending:
+        clone._points[index] = shard._points[index]
     clone._pending = set(shard._pending)
     clone._delta = MutationDelta.empty(shard.l, start_epoch=shard.mutation_epoch)
     clone._unresolved_deletes = []
@@ -183,10 +186,10 @@ def _revive_shard(shard: DynamicLSHTables) -> None:
 def _apply_op(shard: DynamicLSHTables, op: str, args: tuple) -> None:
     """Re-apply one parent-side shard op on the replica, bit-identically.
 
-    Ranks always arrive from the parent's global stream (never redrawn), and
-    the delta record is discarded after every op — replicas have no delta
-    consumers, and a ``delete``'s captured point is a ``None`` placeholder
-    that must never reach the lazy hashing of ``_resolve_delta``.
+    Ranks always arrive from the parent's global stream (never redrawn), a
+    ``delete`` brings its point (baseline slots are ``None`` placeholders,
+    and a compaction sweep hashes the pending points), and the delta record
+    is discarded after every op — replicas have no delta consumers.
     """
     if op == "insert":
         points, ranks, was_fit = args
@@ -195,7 +198,9 @@ def _apply_op(shard: DynamicLSHTables, op: str, args: tuple) -> None:
         else:
             shard.insert_many(points, ranks=ranks)
     elif op == "delete":
-        shard.delete(args[0])
+        local_index, point = args
+        shard._points[local_index] = point
+        shard.delete(local_index)
     elif op == "compact":
         shard.compact()
     else:  # pragma: no cover - protocol error

@@ -146,9 +146,9 @@ class EngineStats:
     inserts, deletes:
         Index mutations applied through the engine.
     rebuilds_triggered:
-        Bucket compaction sweeps — those triggered by tombstone pressure
-        *and* those forced per mutation batch by samplers that need clean
-        buckets to rebuild derived state (e.g. the Section 4 sketches).
+        Bucket compaction sweeps: one per batch sync that finds tombstones
+        pending, plus any triggered by tombstone pressure between batches
+        or forced by a sampler's full rebuild of derived state.
     shard_merges:
         Cross-shard candidate buckets materialized by a
         :class:`~repro.engine.sharded.ShardedEngine` (per batch, each

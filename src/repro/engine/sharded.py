@@ -59,7 +59,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.engine.batch import BatchQueryEngine, build_tables
-from repro.engine.dynamic import DynamicLSHTables, MutationDelta
+from repro.engine.dynamic import DynamicLSHTables, MutationDelta, serialized
 from repro.engine.gather import PrefixView, bounded_shard_prefix, split_budget
 from repro.store.points import points_share_store
 from repro.engine.requests import QueryRequest, QueryResponse
@@ -308,7 +308,8 @@ class ShardedLSHTables(DynamicLSHTables):
         ``op`` is one of ``"insert"`` (args ``(points, ranks, was_fit)`` —
         the shard sub-batch in shard-local order, its global-stream ranks,
         and whether it arrived as the shard's first ``fit``), ``"delete"``
-        (args ``(local_index,)``) or ``"compact"`` (args ``()``).  Replaying
+        (args ``(local_index, point)`` — the point, so a replica's
+        compaction sweep can hash it) or ``"compact"`` (args ``()``).  Replaying
         the stream against a byte-identical replica of the shard reproduces
         its state exactly: ranks are shipped rather than redrawn, and
         shard-local self-compaction triggers from identical thresholds.
@@ -385,6 +386,7 @@ class ShardedLSHTables(DynamicLSHTables):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    @serialized
     def fit(self, dataset: Dataset, ranks: Optional[np.ndarray] = None) -> "ShardedLSHTables":
         """Partition *dataset* across the shards and build each one.
 
@@ -412,6 +414,7 @@ class ShardedLSHTables(DynamicLSHTables):
         self._alive = np.ones(n, dtype=bool)
         self._num_live = n
         self._pending = set()
+        self._unreleased = []
         self._n = n
         if ranks is not None:
             self._ranks_buf = np.array(ranks, dtype=np.int64)
@@ -470,6 +473,7 @@ class ShardedLSHTables(DynamicLSHTables):
         self._unresolved_insert_points.clear()
         super()._resolve_delta()
 
+    @serialized
     def discard_delta(self) -> None:
         self._unresolved_insert_points.clear()
         super().discard_delta()
@@ -499,6 +503,7 @@ class ShardedLSHTables(DynamicLSHTables):
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    @serialized
     def insert_many(self, points: Dataset, ranks=None) -> List[int]:
         """Bulk insert, routing each point to its recorded shard.
 
@@ -515,6 +520,17 @@ class ShardedLSHTables(DynamicLSHTables):
 
         start = self._n
         per_shard = self._record_placement(self._place(points, start), start)
+        # Slots before shard buckets, as in the unsharded insert: queries
+        # read without the lock.
+        self._points.extend(points)
+        if self._store not in (None, False) and not points_share_store(
+            self._points, self._store
+        ):
+            try:
+                self._store.append(points)
+            except Exception:
+                self._store = False
+        self._grow_slots(new_ranks, count)
         for shard_index, offsets in enumerate(per_shard):
             if not offsets:
                 continue
@@ -530,15 +546,6 @@ class ShardedLSHTables(DynamicLSHTables):
             self._absorb_shard_sweeps(shard_index)
             self._notify_shard_op(shard_index, "insert", (subset, shard_ranks, was_fit))
 
-        self._points.extend(points)
-        if self._store not in (None, False) and not points_share_store(
-            self._points, self._store
-        ):
-            try:
-                self._store.append(points)
-            except Exception:
-                self._store = False
-        self._grow_slots(new_ranks, count)
         indices = list(range(start, start + count))
         self._delta.inserted.extend(indices)
         self._unresolved_insert_points.append((start, points))
@@ -546,6 +553,7 @@ class ShardedLSHTables(DynamicLSHTables):
         self._maybe_overflow_delta()
         return indices
 
+    @serialized
     def delete(self, index: int) -> None:
         """Tombstone one point in its owning shard (global semantics).
 
@@ -569,7 +577,9 @@ class ShardedLSHTables(DynamicLSHTables):
         self._unresolved_deletes.append((index, self._points[index]))
         self.shards[shard_index].delete(self._local_of[index])
         self._absorb_shard_sweeps(shard_index)
-        self._notify_shard_op(shard_index, "delete", (self._local_of[index],))
+        self._notify_shard_op(
+            shard_index, "delete", (self._local_of[index], self._points[index])
+        )
         self._delta.deleted.append(index)
         self.mutation_epoch += 1
         self._maybe_overflow_delta()
@@ -579,6 +589,7 @@ class ShardedLSHTables(DynamicLSHTables):
         if len(self._pending) > self.max_tombstone_fraction * max(1, self._num_live):
             self.compact()
 
+    @serialized
     def compact(self) -> None:
         """Sweep every shard's buckets and release the global slots."""
         self._check_fitted()
@@ -588,10 +599,7 @@ class ShardedLSHTables(DynamicLSHTables):
             self.shards[shard_index].compact()
             self._absorb_shard_sweeps(shard_index)
             self._notify_shard_op(shard_index, "compact", ())
-        for index in self._pending:
-            self._points[index] = None
-            if self._store not in (None, False):
-                self._store.release(index)
+        self._release(self._pending)
         self._pending.clear()
         self.mutation_epoch += 1
         self.rebuilds_triggered += 1

@@ -104,11 +104,7 @@ class DenseStore(DatasetStore):
         if rows.size == 0:
             return
         needed = self._n + rows.shape[0]
-        if needed > self._buf.shape[0]:
-            capacity = max(8, 2 * self._buf.shape[0], needed)
-            grown = np.zeros((capacity, self.dim), dtype=np.float64)
-            grown[: self._n] = self._buf[: self._n]
-            self._buf = grown
+        self._buf = _grown(self._buf, self._n, needed)
         self._buf[self._n : needed] = rows
         self._n = needed
         # Norms for the appended rows are filled lazily on next access.
@@ -129,7 +125,12 @@ class DenseStore(DatasetStore):
 
 
 class SetStore(DatasetStore):
-    """Set-valued data packed CSR-style: flat sorted item rows + offsets."""
+    """Set-valued data packed CSR-style: flat sorted item rows + offsets.
+
+    Like :class:`DenseStore`'s matrix, both arrays live in capacity-doubled
+    buffers; :attr:`indptr` and :attr:`items` are views of the live
+    prefixes.
+    """
 
     kind = "sets"
 
@@ -186,10 +187,16 @@ class SetStore(DatasetStore):
         if not points:
             return
         indptr, items = _pack_sets(points)
-        self._items = np.concatenate([self._items, items])
-        self._indptr = np.concatenate([self._indptr, self._indptr[-1] + indptr[1:]])
+        rows = self._n + len(points)
+        used = int(self._indptr[self._n])
+        filled = used + items.size
+        self._indptr = _grown(self._indptr, self._n + 1, rows + 1)
+        self._items = _grown(self._items, used, filled)
+        self._indptr[self._n + 1 : rows + 1] = used + indptr[1:]
+        if items.size:
+            self._items[used:filled] = items
         self._points.extend(points)
-        self._n += len(points)
+        self._n = rows
 
     def to_shared(self) -> "SharedStoreExport":
         indptr = self.indptr
@@ -278,6 +285,19 @@ class _AttachedSetStore(SetStore):
             except OSError:  # pragma: no cover
                 pass
         self._segments = []
+
+
+def _grown(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """*buf*, or a copy of its first *used* rows with room for *needed*.
+
+    Capacity doubles, so a stream of appends is amortized O(1) per row.
+    """
+    if needed <= buf.shape[0]:
+        return buf
+    capacity = max(8, 2 * buf.shape[0], needed)
+    grown = np.empty((capacity,) + buf.shape[1:], dtype=buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
 
 
 def _dense_rows(points: Sequence, dim: Optional[int] = None) -> np.ndarray:

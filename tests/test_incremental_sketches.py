@@ -432,6 +432,8 @@ class TestDeltaRoundTrip:
         rng = np.random.default_rng(51)
         engine = build_engine(random_sets(rng, 60), seed=53)
         engine.insert_many(random_sets(rng, 5))
+        # Captured before the delete: the sync sweep releases slot 3.
+        queries = list(engine.sampler.dataset[:12])
         engine.delete(3)
         engine._sync()
         path = save_engine(engine, tmp_path / "snap")
@@ -456,7 +458,6 @@ class TestDeltaRoundTrip:
             for key, sketch in mine.items():
                 assert all(isinstance(row, np.ndarray) for row in sketch._rows)
                 assert row_lists(sketch) == row_lists(theirs[key])
-        queries = loaded.sampler.dataset[:12]
         assert loaded.sample_batch(queries) == reference.sample_batch(queries)
         joining = random_sets(rng, 4)
         for restored in (loaded, reference):

@@ -184,6 +184,62 @@ class TestEngineAggregates:
         assert serve() == serve()
 
 
+class TestCleanSortFreePrefixes:
+    """Served Section 3 draws pay only for their rank prefix.
+
+    The engine sweeps pending tombstones at each batch sync, so no served
+    gather filters dead references; and rank-sorted views without rank ties
+    between distinct points deduplicate in one pass, never through the
+    two-sort fallback.
+    """
+
+    def test_served_gathers_see_no_pending_tombstones(self, heavy_workload, monkeypatch):
+        engine = BatchQueryEngine.build(
+            _lsh(PermutationFairSampler, seed=23), heavy_workload["dataset"]
+        )
+        tables = engine.tables
+        pending_seen = []
+        gather = tables.colliding_view
+
+        def _recording(*args, **kwargs):
+            pending_seen.append(tables.pending_tombstones)
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(tables, "colliding_view", _recording)
+        queries = heavy_workload["dataset"][:25]
+        engine.run(queries)
+        for start in (100, 110, 120):
+            for index in range(start, start + 4):
+                engine.delete(index)
+            engine.run(queries)
+        assert pending_seen and set(pending_seen) == {0}
+        # One sweep per batch with deletes.
+        assert engine.stats.rebuilds_triggered == 3
+
+    def test_tie_free_views_never_sort(self, heavy_workload, monkeypatch):
+        from repro.core import fair_nns
+
+        sorted_views = []
+        by_sorting = fair_nns._first_occurrences_by_sorting
+        monkeypatch.setattr(
+            fair_nns,
+            "_first_occurrences_by_sorting",
+            lambda indices: sorted_views.append(1) or by_sorting(indices),
+        )
+        dataset = heavy_workload["dataset"]
+        static = _lsh(PermutationFairSampler, seed=25).fit(dataset)
+        for query in dataset[:20]:
+            static.sample(query)
+            static.sample_k(query, 3, replacement=False)
+        engine = BatchQueryEngine.build(_lsh(PermutationFairSampler, seed=25), dataset)
+        engine.run(dataset[:20])
+        engine.delete(0)
+        engine.insert_many(dataset[:5])
+        engine.run(dataset[:20])
+        assert engine.stats.prefix_scans == 40
+        assert sorted_views == []
+
+
 class TestUnshardedPrefixCounters:
     """The unsharded engine answers through the bounded rank-prefix gather.
 

@@ -43,6 +43,7 @@ from repro.store import (
     MemmapSetStore,
     RemoteDenseStore,
     RemoteSetStore,
+    SetStore,
     StoreBackedPoints,
     StoreSpec,
 )
@@ -427,3 +428,61 @@ class TestServingIntegration:
             counters = stats["samplers"][served.primary]["counters"]
             assert counters["store_cache_misses"] == block["cache"]["misses"]
             assert counters["store_bytes_fetched"] == block["cache"]["bytes_fetched"]
+
+
+# ----------------------------------------------------------------------
+# Set-store growth
+# ----------------------------------------------------------------------
+class TestSetStoreAppend:
+    """Appends grow the CSR buffers by capacity doubling; the live prefixes
+    must read exactly as one fresh pack of the same rows."""
+
+    @staticmethod
+    def _rows(count, seed=3):
+        rng = np.random.default_rng(seed)
+        return [
+            frozenset(int(x) for x in rng.choice(50, size=int(rng.integers(0, 6)), replace=False))
+            for _ in range(count)
+        ]
+
+    def _assert_same(self, grown, fresh, n):
+        indices = np.random.default_rng(0).permutation(n)
+        assert len(grown) == len(fresh) == n
+        assert np.array_equal(grown.indptr, fresh.indptr)
+        assert np.array_equal(grown.items, fresh.items)
+        for got, want in zip(grown.gather(indices), fresh.gather(indices)):
+            assert np.array_equal(got, want)
+
+    def test_many_small_appends_match_one_fresh_pack(self):
+        rows = self._rows(120)
+        grown = SetStore(rows[:5])
+        cursor = 5
+        for size in (1, 0, 1, 3, 1, 7, 2, 1, 40, 1):
+            grown.append(rows[cursor : cursor + size])
+            cursor += size
+        while cursor < len(rows):
+            grown.append(rows[cursor : cursor + 1])
+            cursor += 1
+        self._assert_same(grown, SetStore(rows), len(rows))
+        # Doubling leaves spare capacity; the properties read live prefixes.
+        assert grown._indptr.size > len(rows) + 1
+        assert grown.get_point(119) == rows[119]
+
+    def test_appends_after_a_csr_load(self):
+        rows = self._rows(30, seed=4)
+        head = SetStore(rows[:20])
+        adopted = SetStore._from_csr(list(rows[:20]), head.indptr, head.items)
+        for row in rows[20:]:
+            adopted.append([row])
+        self._assert_same(adopted, SetStore(rows), len(rows))
+
+    def test_memmap_overlay_appends_share_the_growth(self, tmp_path):
+        rows = self._rows(40, seed=5)
+        base = SetStore(rows[:25])
+        np.save(tmp_path / "indptr.npy", base.indptr)
+        np.save(tmp_path / "items.npy", base.items)
+        mapped = MemmapSetStore(tmp_path / "indptr.npy", tmp_path / "items.npy")
+        for row in rows[25:]:
+            mapped.append([row])
+        assert isinstance(mapped._overlay, SetStore)
+        self._assert_same(mapped, SetStore(rows), len(rows))

@@ -37,7 +37,7 @@ from repro.core import (
     exponential_similarity_weight,
     scalar_kernels,
 )
-from repro.core.evaluator import vectorized_kernels_enabled
+from repro.core.evaluator import CandidateEvaluator, vectorized_kernels_enabled
 from repro.data import make_store
 from repro.store import DenseStore, SetStore
 from repro.distances import (
@@ -296,6 +296,59 @@ class TestSamplerEquivalence:
             assert vectorized.indices == scalar.indices
             assert vectorized.value == scalar.value
             assert vectorized.stats == scalar.stats
+
+    def test_standalone_tables_with_pending_tombstones(self):
+        """Without an engine sync nothing sweeps: the gather filters dead
+        members, identically under both kernel modes."""
+        dataset, query = _set_workload(seed=11, n=100)
+
+        def run():
+            sampler = PermutationFairSampler(MinHashFamily(), seed=13, **LSH_KWARGS)
+            engine = BatchQueryEngine.build(
+                sampler, dataset, max_tombstone_fraction=1.0, seed=13
+            )
+            tables = engine.tables
+            first = sampler.sample(query)
+            for index in {first, 0, 3}:
+                tables.delete(index)
+            assert tables.pending_tombstones > 0
+            view = tables.colliding_view(query)
+            assert tables.alive[view.indices].all()
+            # The exact answer: the lowest-ranked live near colliding point.
+            near = [
+                int(index)
+                for bucket in tables.query_buckets(query)
+                for index in bucket.indices
+                if sampler.measure.within(
+                    sampler.measure.value(dataset[index], query), sampler.radius
+                )
+            ]
+            exact = min(near, key=lambda index: tables.ranks[index]) if near else None
+            return first, exact, sampler.sample_detailed_from_candidates(query, view)
+
+        first, exact, vectorized = run()
+        with scalar_kernels():
+            _, _, scalar = run()
+        assert vectorized.index != first
+        assert vectorized.index == exact
+        assert vectorized == scalar
+
+    def test_nan_valued_pairs_are_evaluated_once(self):
+        """The memo marks evaluated slots in a mask, so a NaN measure value
+        is served from it like any other."""
+        rows = np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]])
+        query = np.array([1.0, 1.0])
+        for store in (DenseStore(rows), None):
+            evaluator = CandidateEvaluator(
+                EuclideanDistance(), query, store=store, dataset=list(rows), size=3
+            )
+            first = evaluator.values(np.array([0, 1, 2]))
+            again = evaluator.values(np.array([1, 2]))
+            assert np.isnan(first[1]) and np.isnan(again[0])
+            assert again[1] == first[2]
+            assert np.isnan(evaluator.value(1))
+            assert evaluator.fresh_evaluations == 3
+            assert evaluator.kernel_calls == 1
 
     def test_permutation_sampler_k_lowest_matches_exact_ball(self):
         """The rewritten k-lowest-rank scan still returns true near neighbors."""
