@@ -37,6 +37,7 @@ from typing import Dict, Hashable, List, Optional
 import numpy as np
 
 from repro.core.base import LSHNeighborSampler
+from repro.core.fair_nns import _first_occurrences
 from repro.core.result import QueryResult, QueryStats
 from repro.exceptions import InvalidParameterError
 from repro.lsh.family import LSHFamily
@@ -333,20 +334,20 @@ class IndependentFairSampler(LSHNeighborSampler):
         :meth:`~repro.core.base.NeighborSampler.sample_detailed` for the
         parameters and the returned :class:`~repro.core.result.QueryResult`.
 
-        The rejection rounds run as array code.  The colliding view is
-        deduplicated once, sorted by (rank, index), and a round's segment is
-        a ``searchsorted`` range of those distinct members.  The segment
+        The rejection rounds run as array code.  The rank-sorted colliding
+        view is deduplicated once in one pass, and a round's segment is a
+        ``searchsorted`` range of those distinct members.  The segment
         choices and acceptance coins of one ``k`` level (``sigma`` rounds)
-        are drawn in two RNG calls up front; the level's rounds are then
-        scored in blocks of 8, 16, 32, ... rounds, one
-        :meth:`~repro.core.evaluator.CandidateEvaluator.values` call per
-        block for the members its segments cover.  A round's near count is
-        a prefix-sum difference, and the first round whose coin falls below
+        are drawn in two RNG calls up front, and all the level's rounds are
+        then scored with one
+        :meth:`~repro.core.evaluator.CandidateEvaluator.values` call for the
+        members their segments cover.  A round's near count is a prefix-sum
+        difference, and the first round whose coin falls below
         ``min(1, near / lambda)`` is accepted; its answer is a uniform draw
         among the segment's near members in index order.  Answers, round
         counts and RNG consumption equal those of scoring one round at a
         time; ``distance_evaluations`` also counts the members of the
-        accepted block's later rounds, which were scored but not needed.
+        accepted level's later rounds, which were scored but not needed.
         """
         self._check_fitted()
         return self._sample_over_view(query, self._colliding_view(query), exclude_index)
@@ -381,7 +382,13 @@ class IndependentFairSampler(LSHNeighborSampler):
         lam = max(1.0, self.lambda_factor * self._log_n())
         sigma = max(1, int(math.ceil(self.sigma_factor * self._log_n() ** 2)))
 
-        member_ranks, members = _distinct_members(view)
+        # A point's copies share its one rank, so the rank-sorted view
+        # deduplicates in one pass.  Within a rank tied between distinct
+        # points the member order may differ from index order; answers
+        # cannot, since a segment is a rank range and the draw sorts its
+        # near members by index.
+        first = _first_occurrences(*view)
+        member_ranks, members = view[0][first], view[1][first]
         # near[i]: member i is r-near, once scored[i] is set.  The excluded
         # point counts as scored and never near.
         near = np.zeros(members.size, dtype=bool)
@@ -403,27 +410,21 @@ class IndependentFairSampler(LSHNeighborSampler):
             lo = np.searchsorted(member_ranks, segments * q + segments * rem // k)
             ends = segments + 1
             hi = np.searchsorted(member_ranks, ends * q + ends * rem // k)
-            start, block = 0, _FIRST_BLOCK
-            while start < chunk:
-                stop = min(chunk, start + block)
-                self._score_block(evaluator, members, near, scored, lo[start:stop], hi[start:stop])
-                near_before = np.concatenate(([0], np.cumsum(near)))
-                near_counts = near_before[hi[start:stop]] - near_before[lo[start:stop]]
-                accepted = (near_counts > 0) & (
-                    acceptance[start:stop] < np.minimum(1.0, near_counts / lam)
-                )
-                if accepted.any():
-                    stop = start + int(np.argmax(accepted)) + 1
-                    self._count_rounds(stats, lo[:stop], hi[:stop], num_tables)
-                    left, right = lo[stop - 1], hi[stop - 1]
-                    # Slot-index order fixes which member each draw picks,
-                    # so answers equal those of scoring one round at a time.
-                    chosen_from = np.sort(members[left:right][near[left:right]])
-                    chosen = int(chosen_from[int(self._query_rng.integers(0, chosen_from.size))])
-                    stats.distance_evaluations = evaluator.fresh_evaluations
-                    stats.kernel_calls = evaluator.kernel_calls
-                    return QueryResult(index=chosen, value=evaluator.value(chosen), stats=stats)
-                start, block = stop, 2 * block
+            self._score_block(evaluator, members, near, scored, lo, hi)
+            near_before = np.concatenate(([0], np.cumsum(near)))
+            near_counts = near_before[hi] - near_before[lo]
+            accepted = (near_counts > 0) & (acceptance < np.minimum(1.0, near_counts / lam))
+            if accepted.any():
+                stop = int(np.argmax(accepted)) + 1
+                self._count_rounds(stats, lo[:stop], hi[:stop], num_tables)
+                left, right = lo[stop - 1], hi[stop - 1]
+                # Slot-index order fixes which member each draw picks,
+                # so answers equal those of scoring one round at a time.
+                chosen_from = np.sort(members[left:right][near[left:right]])
+                chosen = int(chosen_from[int(self._query_rng.integers(0, chosen_from.size))])
+                stats.distance_evaluations = evaluator.fresh_evaluations
+                stats.kernel_calls = evaluator.kernel_calls
+                return QueryResult(index=chosen, value=evaluator.value(chosen), stats=stats)
             self._count_rounds(stats, lo, hi, num_tables)
             k //= 2
         stats.distance_evaluations = evaluator.fresh_evaluations
@@ -434,7 +435,8 @@ class IndependentFairSampler(LSHNeighborSampler):
         """Score the not-yet-scored members of the segments ``[lo, hi)``.
 
         One :meth:`~repro.core.evaluator.CandidateEvaluator.values` call
-        covers the whole block; ``near`` and ``scored`` are updated in place.
+        covers the segments of a whole ``k`` level; ``near`` and ``scored``
+        are updated in place.
         """
         size = members.size + 1
         covered = np.cumsum(np.bincount(lo, minlength=size) - np.bincount(hi, minlength=size))
@@ -451,22 +453,3 @@ class IndependentFairSampler(LSHNeighborSampler):
         stats.buckets_probed += int(lo.size) * num_tables
         stats.candidates_examined += int((hi - lo).sum())
 
-
-#: Rounds scored by the first block of a ``k`` level; each later block of
-#: the level is twice the previous one.
-_FIRST_BLOCK = 8
-
-
-def _distinct_members(view: tuple) -> tuple:
-    """The distinct ``(ranks, indices)`` of a rank-sorted colliding view.
-
-    Sorting by (rank, index) makes a point's copies adjacent even when
-    another point shares its rank (dynamic tables draw ranks i.i.d.), so
-    the distinct members are the starts of equal-pair runs.
-    """
-    ranks, indices = view
-    order = np.lexsort((indices, ranks))
-    ranks, indices = ranks[order], indices[order]
-    first = np.ones(ranks.size, dtype=bool)
-    first[1:] = (ranks[1:] != ranks[:-1]) | (indices[1:] != indices[:-1])
-    return ranks[first], indices[first]

@@ -33,9 +33,9 @@ class QueryStats:
         Number of batched distance-kernel invocations dispatched for the
         query.  The vectorized candidate-evaluation pipeline scores a whole
         candidate array per call, so this stays at most one per probed
-        bucket, scan chunk or Section 4 block of rejection rounds (8, 16,
-        32, ... rounds per ``k`` level) rather than one per candidate — the
-        counter the perf-guard CI job asserts on.
+        bucket, scan chunk or Section 4 ``k`` level of rejection rounds
+        rather than one per candidate — the counter the perf-guard CI job
+        asserts on.
     """
 
     candidates_examined: int = 0

@@ -520,10 +520,14 @@ class DynamicLSHTables(LSHTables):
                 # dimensionality); scoring falls back to the scalar loop.
                 self._store = False
         self._grow_slots(new_ranks, count)
-        # A fresh singleton bucket is a view of this one members array.
+        # A fresh singleton bucket is a view of this one members array, and
+        # a point's singleton is one Bucket shared by every table it opens a
+        # bucket in (buckets are replaced, never edited in place), so a new
+        # point does not pay one array object per table.
         batch_members = np.arange(start, start + count, dtype=np.intp)
         if new_ranks is not None:
             batch_members = np.array((batch_members, new_ranks))
+        singletons = [Bucket.from_array(batch_members[..., o : o + 1]) for o in range(count)]
         for table_index, table in enumerate(self._tables):
             groups: dict = {}
             for offset, keys in enumerate(keys_per_point):
@@ -540,8 +544,7 @@ class DynamicLSHTables(LSHTables):
                     continue
                 if bucket is None and len(offsets) == 1:
                     # Fresh singleton bucket: already trivially sorted.
-                    offset = offsets[0]
-                    table[key] = Bucket.from_array(batch_members[..., offset : offset + 1])
+                    table[key] = singletons[offsets[0]]
                     continue
                 added_indices = np.asarray([start + o for o in offsets], dtype=np.intp)
                 added_ranks = None if new_ranks is None else new_ranks[offsets]

@@ -142,21 +142,17 @@ class _MinHashBatchHasher(BatchHasher):
         if offsets.size > 1:
             offsets[1:] = np.cumsum(sizes[non_empty])[:-1]
 
-        keys: List[List[Hashable]] = []
-        for start in range(0, self._seeds.size, self._chunk_size):
-            stop = min(self._seeds.size, start + self._chunk_size)
-            seeds = self._seeds[start:stop, None]
-            if flat.size:
-                hashed = _splitmix64(flat[None, :], seeds)
-                minima = np.minimum.reduceat(hashed, offsets, axis=1)
-                minima = self._finalize(minima)
-            else:
-                minima = np.empty((stop - start, 0), dtype=np.int64)
-            for row in minima:
-                full_row = np.full(len(dataset), _EMPTY_SET_KEY, dtype=np.int64)
-                full_row[non_empty] = row
-                keys.append(full_row.tolist())
-        return keys
+        # One (functions, points) array and one tolist(): empty sets keep
+        # the sentinel, the rest take their row of minima.
+        keys = np.full((self._seeds.size, len(dataset)), _EMPTY_SET_KEY, dtype=np.int64)
+        if flat.size:
+            for start in range(0, self._seeds.size, self._chunk_size):
+                stop = min(self._seeds.size, start + self._chunk_size)
+                hashed = _splitmix64(flat[None, :], self._seeds[start:stop, None])
+                keys[start:stop, non_empty] = self._finalize(
+                    np.minimum.reduceat(hashed, offsets, axis=1)
+                )
+        return keys.tolist()
 
 
 def _batch_hasher_from(

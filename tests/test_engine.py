@@ -130,6 +130,32 @@ class TestDynamicTables:
         assert tables.dataset[5] is None  # swept: memory released, slot kept
         assert len(tables.dataset) == len(planted_sets["dataset"])
 
+    def test_a_new_point_shares_one_singleton_bucket_across_tables(self, planted_sets):
+        """A point opening fresh buckets in many tables costs one Bucket, not
+        one array object per table; buckets are replaced, never edited, so
+        later splices and sweeps leave the shared object as it was."""
+        tables = DynamicLSHTables(MinHashFamily(), l=20, seed=3).fit(planted_sets["dataset"])
+        points = [frozenset({7001, 7002, 7003}), frozenset({8001, 8002})]
+        first, second = tables.insert_many(points)
+
+        def buckets_of(point):
+            keys = tables.query_keys(point)
+            return [table.get(key) for table, key in zip(tables._tables, keys)]
+
+        shared = buckets_of(points[0])
+        assert len({id(bucket) for bucket in shared}) == 1
+        assert shared[0].indices.tolist() == [first]
+        assert shared[0].ranks.tolist() == [int(tables.ranks[first])]
+        # A twin splices into all 20 buckets: each is replaced, and the
+        # shared singleton object still holds only the first point.
+        twin = tables.insert(points[0])
+        assert all(sorted(b.indices.tolist()) == [first, twin] for b in buckets_of(points[0]))
+        assert shared[0].indices.tolist() == [first]
+        tables.delete(second)
+        tables.compact()
+        assert buckets_of(points[1]) == [None] * 20
+        assert all(sorted(b.indices.tolist()) == [first, twin] for b in buckets_of(points[0]))
+
     def test_single_point_inserts_grow_rank_buffer_amortized(self, planted_sets):
         tables = DynamicLSHTables(MinHashFamily(), l=10, seed=8).fit(planted_sets["dataset"])
         for i in range(50):

@@ -13,6 +13,7 @@ from repro.lsh import (
     PStableFamily,
 )
 from repro.lsh.family import ConcatenatedFamily
+from repro.lsh.tables import LSHTables
 
 
 def empirical_collision_rate(family, a, b, trials, seed=0):
@@ -199,6 +200,10 @@ class TestConcatenation:
         assert rate == pytest.approx(0.81, abs=0.04)
 
 
+#: Batches for the MinHash batch-hasher checks: single sets, then mixed batches.
+_BATCHES = ["one-empty", "one-set", 4, 64]
+
+
 class TestBatchHashers:
     def test_minhash_batch_matches_individual_on_point(self):
         rng = np.random.default_rng(16)
@@ -250,7 +255,53 @@ class TestBatchHashers:
         point = frozenset({5, 9, 11})
         assert hasher.keys_for_point(point) == [f(point) for f in functions]
 
+    @pytest.mark.parametrize("family_cls", [MinHashFamily, OneBitMinHashFamily])
+    @pytest.mark.parametrize("batch", _BATCHES)
+    def test_mixed_empty_batches_match_individual(self, family_cls, batch):
+        rng = np.random.default_rng(22)
+        family = family_cls()
+        # More functions than one hashing chunk (64), so chunk seams show.
+        functions = [family.sample(rng) for _ in range(70)]
+        hasher = family.make_batch_hasher(functions)
+        dataset = _mixed_sets(rng, batch)
+        batch = hasher.keys_for_dataset(dataset)
+        assert len(batch) == len(functions)
+        for function, keys in zip(functions, batch):
+            assert keys == [function(p) for p in dataset]
+            assert all(type(key) is int for key in keys)
+
+    @pytest.mark.parametrize("family_cls", [MinHashFamily, OneBitMinHashFamily])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("batch", _BATCHES)
+    def test_query_keys_many_matches_query_keys(self, family_cls, k, batch):
+        rng = np.random.default_rng(23)
+        family = family_cls() if k == 1 else ConcatenatedFamily(family_cls(), k)
+        tables = LSHTables(family, l=50, seed=k)
+        queries = _mixed_sets(rng, batch)
+        many = tables.query_keys_many(queries)
+        assert many == [tables.query_keys(q) for q in queries]
+        assert many == [[f(q) for f in tables._functions] for q in queries]
+        for keys in many:
+            for key in keys:
+                parts = (key,) if k == 1 else key
+                assert type(parts) is tuple and len(parts) == k
+                assert all(type(part) is int for part in parts)
+
     def test_hyperplane_family_has_no_batch_hasher(self):
         rng = np.random.default_rng(21)
         family = HyperplaneFamily(4)
         assert family.make_batch_hasher([family.sample(rng)]) is None
+
+
+def _mixed_sets(rng, batch):
+    """One of :data:`_BATCHES`: a single set, or *batch* sets mixing empty and
+    non-empty ones."""
+    if batch in ("one-empty", "one-set"):
+        return [frozenset()] if batch == "one-empty" else [frozenset({3, 9, 27})]
+    sets = [
+        frozenset() if rng.random() < 0.25
+        else frozenset(int(x) for x in rng.integers(0, 500, size=int(rng.integers(1, 12))))
+        for _ in range(batch)
+    ]
+    sets[0], sets[-1] = frozenset(), frozenset({1, 2, 3})
+    return sets

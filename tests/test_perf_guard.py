@@ -5,7 +5,7 @@ Wall-clock assertions are flaky on shared CI runners, so this file pins the
 pipeline's *work counters* instead — the quantities that made the
 vectorization a speedup in the first place:
 
-* ``kernel_calls`` must scale with rejection-round blocks / probed buckets,
+* ``kernel_calls`` must scale with rejection-round ``k`` levels / probed buckets,
   never with candidates (a regression to per-candidate evaluation multiplies
   it by the bucket size);
 * ``distance_evaluations`` must stay bounded by the number of *distinct*
@@ -15,7 +15,7 @@ vectorization a speedup in the first place:
 
 The workload is seeded and the counters are exact deterministic functions of
 it, so any failure here is a real behavioural regression, not noise.
-The CI ``perf-guard`` job runs exactly this file.
+The CI ``perf-guard`` job runs this file.
 """
 
 import math
@@ -107,16 +107,18 @@ class TestKernelCallScaling:
         [
             # (answer, rounds, kernel_calls, distance_evaluations); scoring
             # one round per kernel call made 184 and 181 calls here, and 300
-            # and 293 distance evaluations.
-            (None, (None, 748, 24, 300)),
-            (2, (81, 404, 24, 299)),
+            # and 293 distance evaluations; blocks of 8, 16, 32, ... rounds
+            # per level made 24 calls for each.
+            (None, (None, 748, 6, 300)),
+            (2, (81, 404, 6, 299)),
         ],
     )
-    def test_independent_sampler_scores_rounds_in_blocks(self, heavy_workload, query_index, pins):
-        """Section 4 scores a ``k`` level's rounds in blocks of 8, 16, 32, ...
+    def test_independent_sampler_one_call_per_level(self, heavy_workload, query_index, pins):
+        """Section 4 scores all rounds of a ``k`` level with one kernel call.
 
-        One kernel call per block at most: a regression to one call per
-        rejection round multiplies ``kernel_calls`` by about eight.
+        At most one call per level entered: a regression to blocks within a
+        level multiplies ``kernel_calls`` by about four, and one call per
+        rejection round by about thirty.
         """
         sampler = _lsh(IndependentFairSampler).fit(heavy_workload["dataset"])
         if query_index is None:
@@ -126,7 +128,7 @@ class TestKernelCallScaling:
             result = sampler.sample_detailed(query, exclude_index=query_index)
         stats = result.stats
         sigma = max(1, math.ceil(sampler.sigma_factor * sampler._log_n() ** 2))
-        assert stats.kernel_calls <= _block_count(stats.rounds, sigma)
+        assert stats.kernel_calls <= math.ceil(stats.rounds / sigma)
         assert stats.kernel_calls <= stats.rounds
         assert stats.distance_evaluations <= heavy_workload["n"]
         assert (result.index, stats.rounds, stats.kernel_calls, stats.distance_evaluations) == pins
@@ -144,19 +146,6 @@ class TestKernelCallScaling:
         result = sampler.sample_detailed(heavy_workload["query"])
         assert result.stats.kernel_calls <= result.stats.buckets_probed
         assert result.stats.distance_evaluations <= heavy_workload["n"]
-
-
-def _block_count(rounds: int, sigma: int, first_block: int = 8) -> int:
-    """Blocks that score *rounds* rounds, in ``k`` levels of *sigma* rounds."""
-    blocks = 0
-    while rounds > 0:
-        level, size = min(rounds, sigma), first_block
-        rounds -= level
-        while level > 0:
-            blocks += 1
-            level -= size
-            size *= 2
-    return blocks
 
 
 class TestEngineAggregates:
@@ -185,12 +174,12 @@ class TestEngineAggregates:
 
 
 class TestCleanSortFreePrefixes:
-    """Served Section 3 draws pay only for their rank prefix.
+    """Served draws pay only for their rank prefix, and dedup never sorts.
 
     The engine sweeps pending tombstones at each batch sync, so no served
     gather filters dead references; and rank-sorted views without rank ties
     between distinct points deduplicate in one pass, never through the
-    two-sort fallback.
+    two-sort fallback, in Section 3 and Section 4 alike.
     """
 
     def test_served_gathers_see_no_pending_tombstones(self, heavy_workload, monkeypatch):
@@ -237,6 +226,32 @@ class TestCleanSortFreePrefixes:
         engine.insert_many(dataset[:5])
         engine.run(dataset[:20])
         assert engine.stats.prefix_scans == 40
+        assert sorted_views == []
+
+    def test_tie_free_section4_views_never_sort(self, heavy_workload, monkeypatch):
+        from repro.core import fair_nnis, fair_nns
+
+        sorted_views, deduped = [], []
+        by_sorting = fair_nns._first_occurrences_by_sorting
+        first_occurrences = fair_nnis._first_occurrences
+        monkeypatch.setattr(
+            fair_nns,
+            "_first_occurrences_by_sorting",
+            lambda indices: sorted_views.append(1) or by_sorting(indices),
+        )
+        monkeypatch.setattr(
+            fair_nnis,
+            "_first_occurrences",
+            lambda ranks, indices: deduped.append(1) or first_occurrences(ranks, indices),
+        )
+        dataset = heavy_workload["dataset"]
+        engine = BatchQueryEngine.build(_lsh(IndependentFairSampler, seed=27), dataset, seed=27)
+        engine.run(dataset[:20])
+        engine.delete(0)
+        engine.insert_many(dataset[:5])
+        engine.run(dataset[:20])
+        # Dynamic tables draw 2^62-domain ranks: every view is tie-free.
+        assert len(deduped) == 40
         assert sorted_views == []
 
 
