@@ -70,6 +70,10 @@ def main() -> None:
 
         # 2. /healthz and /v1/capacity schemas (CI smoke assertions).
         health = client.healthz()
+        assert set(health) == {
+            "status", "serving", "generation", "live_points", "point_kind",
+            "samplers", "primary", "durable", "version",
+        }, health
         assert health["status"] == "ok", health
         assert health["serving"] is True and health["generation"] == 1, health
         assert health["samplers"] == ["fair"] and health["primary"] == "fair", health
@@ -77,6 +81,10 @@ def main() -> None:
         assert health["point_kind"] == "set", health
 
         snapshot = client.capacity()
+        assert set(snapshot) == {
+            "total", "used", "available", "over_commit_ratio", "live_points",
+            "pending_tombstones", "quotas", "queue",
+        }, snapshot
         for section in ("total", "used", "available"):
             assert set(snapshot[section]) == {"points", "memory_bytes"}, snapshot
         assert snapshot["total"]["points"] == 500  # floor(400 * 1.25)

@@ -68,11 +68,8 @@ from repro.engine import (
     BatchQueryEngine,
     DynamicLSHTables,
     EngineStats,
-    ProcessShardedEngine,
     QueryRequest,
     QueryResponse,
-    ShardedEngine,
-    ShardedLSHTables,
     WALRecord,
     WriteAheadLog,
     load_engine,
@@ -94,9 +91,8 @@ from repro.exceptions import (
     WALCorruptError,
     WALError,
     WALWriteError,
-    WorkerCrashedError,
 )
-from repro.testing import FaultInjector, FaultPlan
+from repro.testing import FaultInjector
 from repro.registry import (
     DISTANCES,
     LSH_FAMILIES,
@@ -183,9 +179,6 @@ __all__ = [
     # engine
     "BatchQueryEngine",
     "DynamicLSHTables",
-    "ProcessShardedEngine",
-    "ShardedEngine",
-    "ShardedLSHTables",
     "EngineStats",
     "QueryRequest",
     "QueryResponse",
@@ -196,7 +189,6 @@ __all__ = [
     "WALRecord",
     # chaos testing (repro.testing)
     "FaultInjector",
-    "FaultPlan",
     # fairness
     "FairnessAuditor",
     "total_variation_from_uniform",
@@ -209,7 +201,6 @@ __all__ = [
     "AlreadyDeletedError",
     "CapacityExceededError",
     "QuotaExceededError",
-    "WorkerCrashedError",
     "WALError",
     "WALCorruptError",
     "WALWriteError",

@@ -48,7 +48,6 @@ import numpy as np
 from repro.core.base import LSHNeighborSampler, NeighborSampler
 from repro.engine.batch import BatchQueryEngine, build_tables
 from repro.engine.dynamic import DynamicLSHTables
-from repro.engine.sharded import ShardedEngine, ShardedLSHTables
 from repro.engine.requests import EngineStats, QueryRequest, QueryResponse
 from repro.engine.snapshot import load_engine, save_engine
 from repro.engine.wal import WriteAheadLog
@@ -179,18 +178,6 @@ class FairNN:
         return isinstance(self._tables, DynamicLSHTables)
 
     @property
-    def is_sharded(self) -> bool:
-        """Whether the index is partitioned across shards."""
-        return isinstance(self._tables, ShardedLSHTables)
-
-    @property
-    def n_shards(self) -> int:
-        """Number of index partitions actually serving (1 when unsharded)."""
-        if isinstance(self._tables, ShardedLSHTables):
-            return self._tables.n_shards
-        return 1
-
-    @property
     def num_live_points(self) -> int:
         """Live (non-tombstoned) indexed points."""
         if isinstance(self._tables, DynamicLSHTables):
@@ -217,20 +204,11 @@ class FairNN:
         return {name: engine.stats for name, engine in self._engines.items()}
 
     def close(self) -> None:
-        """Release engine-held resources deterministically; idempotent.
+        """Release the facade's resources; idempotent.
 
-        Thread-pool engines shut their executors down and process-executor
-        engines terminate their shard workers and unlink shared-memory
-        segments.  Interpreter-exit finalizers cover an unclosed facade, but
-        long-lived applications (and the hot-swap path, which retires whole
-        generations) should close retired facades promptly.  The facade
-        stays usable for non-serving reads; ``fit``/``serve`` rebuild
-        engines.  A durable facade also fsyncs and closes its WAL.
+        A durable facade fsyncs and closes its WAL.  The facade stays usable
+        for non-serving reads; ``fit``/``serve`` rebuild engines.
         """
-        for engine in self._engines.values():
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
         if self._wal is not None:
             self._wal.close()
             self._wal = None
@@ -253,8 +231,6 @@ class FairNN:
             Resident bytes of the columnar dataset store plus the rank
             array, when a store exists (``None`` otherwise — e.g. static
             facades that never built one).
-        ``n_shards``
-            Index partitions (1 when unsharded).
 
         :class:`repro.server.CapacityModel` combines these numbers with a
         configured budget and over-commit ratio into the MAAS-pods-style
@@ -295,7 +271,6 @@ class FairNN:
             "pending_tombstones": int(pending),
             "memory_bytes": memory_bytes,
             "store_backend": store_backend,
-            "n_shards": self.n_shards,
         }
 
     # ------------------------------------------------------------------
@@ -328,9 +303,6 @@ class FairNN:
     def serve(
         self,
         dataset: Optional[Dataset] = None,
-        shards: Optional[int] = None,
-        placement: Optional[str] = None,
-        executor: Optional[str] = None,
         data_dir: Optional[Union[str, pathlib.Path]] = None,
         fsync: Optional[str] = None,
         store: Union[StoreSpec, str, None] = None,
@@ -348,25 +320,6 @@ class FairNN:
         directly on a fresh facade for reproducible artifacts; calling it
         after :meth:`fit` re-indexes (the construction RNG streams have
         advanced).
-
-        ``serve(shards=N)`` (or ``EngineSpec.n_shards``) promotes to
-        **sharded** serving: the index is partitioned across ``N``
-        :class:`~repro.engine.dynamic.DynamicLSHTables` shards
-        (:class:`~repro.engine.sharded.ShardedLSHTables`) and every engine
-        becomes a :class:`~repro.engine.sharded.ShardedEngine` executing
-        batches across the shards through a worker pool.  Mutations are
-        routed to the owning shard once and every engine is notified, and
-        responses stay byte-identical to unsharded serving for the same
-        spec + seed + dataset.  Explicit arguments are recorded back into
-        :attr:`spec` so snapshots describe the topology actually served.
-
-        ``serve(executor="process")`` (or ``EngineSpec.executor``) runs each
-        shard in a supervised **worker process** over shared-memory dataset
-        buffers (:class:`~repro.engine.procpool.ProcessShardedEngine`) —
-        still byte-identical, with crash isolation: a dying worker fails its
-        in-flight batch with a typed
-        :class:`~repro.exceptions.WorkerCrashedError` and is restarted from
-        its shard snapshot with the mutation log replayed.
 
         ``serve(data_dir=P)`` makes the facade **durable**: the directory is
         initialized with a write-ahead log plus an immediate checkpoint, and
@@ -391,14 +344,8 @@ class FairNN:
             dataset = self._dataset
         if dataset is None:
             raise NotFittedError("serve() needs a dataset (pass one or call fit first)")
-        if shards is not None or placement is not None or executor is not None or fsync is not None:
-            self._spec = replace(
-                self._spec,
-                n_shards=self._spec.n_shards if shards is None else int(shards),
-                placement=self._spec.placement if placement is None else placement,
-                executor=self._spec.executor if executor is None else executor,
-                wal_fsync=self._spec.wal_fsync if fsync is None else fsync,
-            )
+        if fsync is not None:
+            self._spec = replace(self._spec, wal_fsync=fsync)
         store_spec = StoreSpec.coerce(store if store is not None else self._spec.store)
         if store_spec.backend == "remote":
             raise InvalidParameterError(
@@ -596,13 +543,12 @@ class FairNN:
     ) -> List[int]:
         """Bulk-index new points online.
 
-        The mutation is applied to the shared tables once (sharded facades
-        route each point to its owning shard) and every named sampler's
-        engine is notified, so all of them re-synchronize (lazily, on their
-        next batch).  Only LSH-backed samplers can track index mutations, so
-        a facade that also serves e.g. the exact baseline rejects mutation
-        outright rather than letting that sampler silently answer from a
-        stale dataset.
+        The mutation is applied to the shared tables once and every named
+        sampler's engine is notified, so all of them re-synchronize (lazily,
+        on their next batch).  Only LSH-backed samplers can track index
+        mutations, so a facade that also serves e.g. the exact baseline
+        rejects mutation outright rather than letting that sampler silently
+        answer from a stale dataset.
 
         ``insert_many([])`` is a documented no-op: it returns ``[]``
         immediately — no serving requirement is checked, no
@@ -975,16 +921,8 @@ class FairNN:
         """(Re)build every sampler object from its spec."""
         self._check_family_compatible(self._spec.samplers)
         self._samplers = {name: spec.build() for name, spec in self._spec.samplers.items()}
-        self._close_engines()
-        self._tables = None
-
-    def _close_engines(self) -> None:
-        """Release superseded engines (sharded ones own worker pools)."""
-        for engine in self._engines.values():
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
         self._engines = {}
+        self._tables = None
 
     def _lsh_samplers(self) -> Dict[str, LSHNeighborSampler]:
         return {
@@ -1021,9 +959,7 @@ class FairNN:
         <repro.engine.batch.BatchQueryEngine.build>` uses, so the
         single-sampler dynamic case stays byte-compatible with it.  The only
         extension is that the tables store ranks when *any* attached sampler
-        needs them, not just the owner.  A spec asking for ``n_shards > 1``
-        gets a :class:`~repro.engine.sharded.ShardedLSHTables` partitioned by
-        the spec's placement policy.
+        needs them, not just the owner.
         """
         lsh_named = self._lsh_samplers()
         owner = self._table_owner(lsh_named)
@@ -1033,25 +969,13 @@ class FairNN:
             dynamic=dynamic,
             max_tombstone_fraction=self._spec.max_tombstone_fraction,
             use_ranks=any(sampler._use_ranks for sampler in lsh_named.values()),
-            n_shards=self._spec.n_shards
-            if (dynamic and (self._spec.n_shards > 1 or self._spec.executor == "process"))
-            else None,
-            placement=self._spec.placement,
         )
         for sampler in lsh_named.values():
             sampler.attach(tables, bound_dataset)
         self._tables = tables
 
     def _new_engine(self, name: str, sampler: NeighborSampler) -> BatchQueryEngine:
-        engine_cls = BatchQueryEngine
-        if isinstance(getattr(sampler, "tables", None), ShardedLSHTables):
-            if self._spec.executor == "process":
-                from repro.engine.procpool import ProcessShardedEngine
-
-                engine_cls = ProcessShardedEngine
-            else:
-                engine_cls = ShardedEngine
-        return engine_cls(
+        return BatchQueryEngine(
             sampler,
             batch_hashing=self._spec.batch_hashing,
             coalesce_duplicates=self._spec.coalesce_duplicates,

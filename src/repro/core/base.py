@@ -422,9 +422,8 @@ class LSHNeighborSampler(NeighborSampler):
     #: prefix* of the colliding view: scanning candidates in increasing rank
     #: order, the query can stop at the first near point.  Samplers that set
     #: this True must implement :meth:`sample_detailed_from_prefix`.  The
-    #: serving engines use it to gather only the bottom-``B`` candidates by
-    #: rank (per shard when sharded: a distributed top-k over the
-    #: exchangeable rank domain) instead of the full colliding multiset.
+    #: serving engine uses it to gather only the bottom-``B`` candidates by
+    #: rank instead of the full colliding multiset.
     supports_rank_prefix_scan: bool = False
 
     def sample_detailed_from_prefix(
@@ -455,8 +454,7 @@ class LSHNeighborSampler(NeighborSampler):
     #: :class:`~repro.engine.gather.PrefixView`).  Samplers that replay a
     #: bucket-by-bucket scan (rather than a rank-ordered one) set this True
     #: so the gather ships the metadata along; rank-ordered scanners leave it
-    #: False and keep the gather (and the process executor's wire payload)
-    #: minimal.
+    #: False and keep the gather minimal.
     prefix_scan_needs_tables: bool = False
 
     def sample_k_from_prefix(

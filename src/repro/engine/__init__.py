@@ -13,27 +13,13 @@ system:
   maintain derived per-bucket state incrementally;
 * :class:`~repro.engine.batch.BatchQueryEngine` — batched query execution
   that hashes a whole batch of queries in one vectorized pass and dispatches
-  to any sampler, with per-engine serving statistics;
-* :class:`~repro.engine.sharded.ShardedLSHTables` /
-  :class:`~repro.engine.sharded.ShardedEngine` — the scale-out layer: the
-  index partitioned across ``n_shards`` dynamic shards with recorded
-  placement, batches executed across shards through a thread pool, and
-  per-shard candidates merged into answers byte-identical to unsharded
-  serving (the exchangeable ``2^62`` rank domain makes the merge exact);
-* :mod:`~repro.engine.gather` — the bounded rank-prefix gather core both
-  sharded executors share: per-shard bottom-``B``-by-rank slices
-  (:func:`~repro.engine.gather.bounded_shard_prefix`), the
-  provably-complete prefix merge
-  (:func:`~repro.engine.gather.merge_prefix_parts`) and the self-tuning
+  to any sampler, with per-engine serving statistics; queries the
+  rank-prefix gather does not answer are answered in parallel chunks on a
+  shared thread pool when the sampler has no query-time randomness;
+* :mod:`~repro.engine.gather` — the bounded rank-prefix gather behind
+  every prefix-capable query: a table set's bottom-``B``-by-rank slice
+  (:func:`~repro.engine.gather.bounded_prefix`) and the self-tuning
   :class:`~repro.engine.gather.PrefixBudgetController`;
-* :class:`~repro.engine.procpool.ProcessShardedEngine` — the sharded layer
-  over worker **processes**: each shard's dynamic tables replicated in a
-  supervised worker reading the dataset's columnar buffers zero-copy through
-  ``multiprocessing.shared_memory``, mutations replicated over a
-  length-prefixed message protocol, crashed workers restarted from their
-  shard snapshot with the mutation log replayed (in-flight requests fail
-  with a typed :class:`~repro.exceptions.WorkerCrashedError` instead of
-  hanging) — responses still byte-identical to unsharded serving;
 * :mod:`~repro.engine.requests` — the typed request/response surface;
 * :mod:`~repro.engine.snapshot` — save/load of a fitted engine, so indexes
   can be built offline and shipped to servers;
@@ -58,9 +44,7 @@ True
 from repro.engine.batch import BatchQueryEngine
 from repro.engine.dynamic import RANK_DOMAIN, DynamicLSHTables, MutationDelta
 from repro.engine.gather import PrefixBudgetController, PrefixView
-from repro.engine.procpool import FaultPlan, ProcessShardedEngine, WorkerSupervisor
 from repro.engine.requests import EngineStats, QueryRequest, QueryResponse
-from repro.engine.sharded import PLACEMENTS, ShardedEngine, ShardedLSHTables
 from repro.engine.snapshot import load_engine, save_engine
 from repro.engine.wal import WALRecord, WALScanReport, WriteAheadLog
 
@@ -69,14 +53,8 @@ __all__ = [
     "DynamicLSHTables",
     "MutationDelta",
     "RANK_DOMAIN",
-    "PLACEMENTS",
     "PrefixBudgetController",
     "PrefixView",
-    "FaultPlan",
-    "ProcessShardedEngine",
-    "WorkerSupervisor",
-    "ShardedEngine",
-    "ShardedLSHTables",
     "EngineStats",
     "QueryRequest",
     "QueryResponse",

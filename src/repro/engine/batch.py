@@ -20,13 +20,15 @@ make a batch of ``m`` queries much cheaper than ``m`` independent calls:
    in shared widened rounds, and a
    :class:`~repro.engine.gather.PrefixBudgetController` tunes the opening
    ``B`` from each batch's certification profile.  Any certifying true
-   prefix yields the same bytes and counters as the full view.  This is the
-   one query path of every engine: the sharded engines run this same loop
-   and override only where gathers execute.
+   prefix yields the same bytes and counters as the full view.
 3. **Uniform dispatch.**  Everything else is answered through the sampler's
    public surface (``sample_detailed`` for single draws, ``sample_k`` for
    multi-draws), so every structure in :mod:`repro.core` — fair or baseline —
-   can sit behind the engine unchanged.
+   can sit behind the engine unchanged.  For samplers without query-time
+   randomness these fallback answers run in parallel chunks on a shared
+   thread pool (numpy's hashing, sorting and distance kernels release the
+   GIL); each answer is independent of the others, so bytes and counters
+   are the same as answering them serially.
 4. **Mutation coalescing.**  ``insert``/``delete`` are forwarded to the
    attached :class:`~repro.engine.dynamic.DynamicLSHTables` and the sampler
    is re-synchronized lazily, once per batch: the tables' accumulated
@@ -43,7 +45,9 @@ everything except mutation.
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -71,8 +75,6 @@ def build_tables(
     max_tombstone_fraction: float = 0.25,
     use_ranks: Optional[bool] = None,
     seed: SeedLike = None,
-    n_shards: Optional[int] = None,
-    placement: str = "round_robin",
 ):
     """Build a table layer for *owner* exactly as its offline ``fit`` would.
 
@@ -87,12 +89,6 @@ def build_tables(
     tables.  Returns ``(tables, bound_dataset)`` where *bound_dataset* is
     what attached samplers must be given (the tables' own live container for
     dynamic tables).
-
-    Passing *n_shards* (an int, even ``1``) builds a
-    :class:`~repro.engine.sharded.ShardedLSHTables` partitioned by
-    *placement* instead of one monolithic dynamic table set — same hash
-    functions, same ranks, byte-identical merged buckets.  ``None`` (the
-    default) keeps the unsharded layout.  Sharding requires ``dynamic=True``.
     """
     n = len(dataset)
     if n == 0:
@@ -103,37 +99,38 @@ def build_tables(
     tables_seed = seed if seed is not None else owner._tables_rng
     if use_ranks is None:
         use_ranks = owner._use_ranks
-    if n_shards is not None and not dynamic:
-        raise InvalidParameterError(
-            "sharded tables are a serving-layer structure; build with dynamic=True"
-        )
     if dynamic:
-        if n_shards is not None:
-            from repro.engine.sharded import ShardedLSHTables  # circular at import time
-
-            tables = ShardedLSHTables(
-                concatenated,
-                params.l,
-                seed=tables_seed,
-                use_ranks=use_ranks,
-                max_tombstone_fraction=max_tombstone_fraction,
-                n_shards=n_shards,
-                placement=placement,
-            )
-        else:
-            tables = DynamicLSHTables(
-                concatenated,
-                params.l,
-                seed=tables_seed,
-                use_ranks=use_ranks,
-                max_tombstone_fraction=max_tombstone_fraction,
-            )
+        tables = DynamicLSHTables(
+            concatenated,
+            params.l,
+            seed=tables_seed,
+            use_ranks=use_ranks,
+            max_tombstone_fraction=max_tombstone_fraction,
+        )
         tables.fit(dataset)
         return tables, tables.dataset
     ranks = owner._perm_rng.permutation(n) if use_ranks else None
     tables = LSHTables(concatenated, params.l, seed=tables_seed)
     tables.fit(dataset, ranks=ranks)
     return tables, list(dataset)
+
+
+#: Threads answering fallback queries in parallel.  One means serial.
+_ANSWER_WORKERS = min(16, os.cpu_count() or 1)
+
+_answer_pool: Optional[ThreadPoolExecutor] = None
+_answer_pool_lock = threading.Lock()
+
+
+def _shared_answer_pool() -> ThreadPoolExecutor:
+    """The process-wide fallback answer pool, created on first use."""
+    global _answer_pool
+    with _answer_pool_lock:
+        if _answer_pool is None:
+            _answer_pool = ThreadPoolExecutor(
+                max_workers=_ANSWER_WORKERS, thread_name_prefix="repro-answer"
+            )
+        return _answer_pool
 
 
 class _LazyKeys(dict):
@@ -617,62 +614,53 @@ class BatchQueryEngine:
             # a hashing pass batching avoided, like a primed-cache hit.
             with self._stats_lock:
                 self.stats.key_cache_hits += len(positions)
-        prefix = set(positions)
-        fallback = [position for position in range(len(distinct)) if position not in prefix]
-        merges_before = getattr(tables, "merged_buckets", 0)
-        try:
-            if fallback and tables is not None:
-                self._prime(keys_per_query, fallback)
-            return self._answer_all(distinct, keys_per_query, positions)
-        finally:
-            # Sharded tables count the cross-shard bucket merges the batch
-            # caused — the primed ones plus any answer-phase stragglers.
-            merges = getattr(tables, "merged_buckets", 0) - merges_before
-            if merges:
-                with self._stats_lock:
-                    self.stats.shard_merges += merges
-            self._after_batch()
-
-    # ------------------------------------------------------------------
-    # Fan-out hooks (the sharded engines override these)
-    # ------------------------------------------------------------------
-    def _prime(self, keys_per_query, positions: Sequence[int]) -> None:
-        """Materialize what answering *positions* off the prefix path needs.
-
-        Unsharded tables answer straight from their buckets: nothing to do.
-        """
+        return self._answer_all(distinct, keys_per_query, positions)
 
     def _gather_prefixes(
         self, positions: Sequence[int], keys_per_query, limit: int
     ) -> Dict[int, PrefixView]:
-        """Gather rank prefixes for *positions* at total budget *limit*.
+        """Gather rank prefixes for *positions* at budget *limit*.
 
         *keys_per_query* is anything indexable by position (the batch list,
         or a per-escalation dict).
         """
-        gather = self._prefix_gatherer(keys_per_query, limit)
-        return {position: gather(position) for position in positions}
-
-    def _prefix_gatherer(self, keys_per_query, limit: int):
-        """``position -> PrefixView`` at total budget *limit*."""
         colliding_view = self.tables.colliding_view
         with_tables = getattr(self.sampler, "prefix_scan_needs_tables", False)
-        return lambda position: colliding_view(
-            None, limit, keys_per_query[position], with_tables
-        )
+        return {
+            position: colliding_view(None, limit, keys_per_query[position], with_tables)
+            for position in positions
+        }
 
     def _answer_parallel(
         self, distinct: Sequence[QueryRequest], positions: List[int]
     ) -> Dict[int, QueryResponse]:
-        """Answer *positions* of a query-deterministic sampler out of order.
+        """Answer *positions* of a query-deterministic sampler in parallel chunks.
 
         Returns the responses it produced; the rest answer serially in batch
-        order.  The unsharded engine has no pool, so it produces none.
+        order.  Produces none on a one-CPU host, and none when the dataset
+        store has a block cache: the remote store's LRU is not locked, and
+        its hit and miss counters depend on the order blocks are read.
         """
-        return {}
+        if _ANSWER_WORKERS <= 1:
+            return {}
+        # Build the shared columnar store up front so answer workers never
+        # race its lazy construction.
+        store = self.sampler._active_store()
+        if store is not None and store.cache_stats() is not None:
+            return {}
+        chunk_size = max(
+            1, (len(positions) + 2 * _ANSWER_WORKERS - 1) // (2 * _ANSWER_WORKERS)
+        )
+        chunks = [positions[i : i + chunk_size] for i in range(0, len(positions), chunk_size)]
 
-    def _after_batch(self) -> None:
-        """Post-batch accounting hook (the process executor syncs IPC stats)."""
+        def _answer_chunk(chunk: List[int]) -> List[QueryResponse]:
+            return [self._answer(position, distinct[position]) for position in chunk]
+
+        answered: Dict[int, QueryResponse] = {}
+        pool = _shared_answer_pool()
+        for chunk, responses in zip(chunks, pool.map(_answer_chunk, chunks)):
+            answered.update(zip(chunk, responses))
+        return answered
 
     # ------------------------------------------------------------------
     # The prefix/certify/escalate loop

@@ -570,10 +570,8 @@ class DynamicLSHTables(LSHTables):
     def _checked_insert_ranks(self, count: int, ranks) -> Optional[np.ndarray]:
         """Validate (or draw) the ranks of an insert batch of size *count*.
 
-        Shared by the unsharded and sharded mutation paths so the rank
-        contract — explicit ranks must match the batch shape, rankless
-        tables reject them, and fresh draws come from the mutation stream —
-        cannot drift between the two.
+        Explicit ranks must match the batch shape, rankless tables reject
+        them, and fresh draws come from the mutation stream.
         """
         if self._use_ranks:
             if ranks is None:

@@ -1,28 +1,20 @@
-"""The bounded rank-prefix gather: the one query path of every engine.
+"""The bounded rank-prefix gather behind every prefix-capable query.
 
-Every serving engine — unsharded (:class:`~repro.engine.batch.
-BatchQueryEngine`, a one-shard engine over a plain
-:class:`~repro.engine.dynamic.DynamicLSHTables`), the thread pool
-(:class:`~repro.engine.sharded.ShardedEngine`) and the process pool
-(:class:`~repro.engine.procpool.ProcessShardedEngine`) — answers
-prefix-capable queries from the same three primitives, defined once here:
+:class:`~repro.engine.batch.BatchQueryEngine` answers prefix-capable
+queries from two primitives, defined here:
 
-* :func:`bounded_shard_prefix` — one table set's bottom-``B``-by-rank slice
-  of its colliding multiset, computed in O(tables × B) by exploiting the
+* :func:`bounded_prefix` — a table set's bottom-``B``-by-rank slice of its
+  colliding multiset, computed in O(tables × B) by exploiting the
   :class:`~repro.lsh.tables.Bucket` invariant that ranked buckets are stored
   sorted ascending by rank (each bucket's bottom-``B`` is a plain slice, and
   the final ``argpartition`` runs over at most ``l × B`` pre-cut entries
-  instead of the full multiset).
-* :func:`merge_prefix_parts` — the provably-complete merge: every global
-  reference ranked strictly below the lowest truncation boundary is present
-  in some part, so cutting the concatenated multiset at that boundary yields
-  a **true rank prefix** of the full colliding view.  The returned
-  :class:`PrefixView` carries the completeness flag the samplers use to
-  decide whether their answer is provable from the prefix alone.
+  instead of the full multiset).  The slice is cut strictly below its
+  truncation boundary, so every reference ranked lower is provably present
+  and the result is a **true rank prefix** of the full colliding view.  The
+  returned :class:`PrefixView` carries the completeness flag the samplers
+  use to decide whether their answer is provable from the prefix alone.
   :meth:`LSHTables.colliding_view <repro.lsh.tables.LSHTables.
-  colliding_view>` is these two calls over one part (one part per shard for
-  :class:`~repro.engine.sharded.ShardedLSHTables`); with no limit it is the
-  full view.
+  colliding_view>` is this one call; with no limit it is the full view.
 * :class:`PrefixBudgetController` — the self-tuning gather budget: batches
   open at the smallest limit that certified ~7/8 of the previous batch
   (outliers escalate in cheap shared rounds instead of inflating every
@@ -30,13 +22,8 @@ prefix-capable queries from the same three primitives, defined once here:
   immediately, and every fourth tuned batch probes down regardless so
   long-running serving tracks workload drift back *down* as well as up.
   Every move is a deterministic, order-insensitive function of the per-round
-  certification counts, so every engine produces the **same budget
-  sequence** for the same batch stream.
-
-The merge's correctness rests on the rank domain being exchangeable: ranks
-are i.i.d. draws from the fixed ``2^62`` domain shared by every shard, so
-"bottom ``B`` by rank" composes across shards exactly (see the
-:mod:`repro.engine.sharded` module docstring for the full argument).
+  certification counts, so the same batch stream always produces the
+  **same budget sequence**.
 
 For samplers that replay a *per-bucket* scan rather than a rank-ordered one
 (:class:`~repro.core.standard_lsh.StandardLSHSampler`), the gather can also
@@ -51,7 +38,7 @@ the moment it reaches a truncated one.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,15 +47,8 @@ from repro.exceptions import InvalidParameterError
 __all__ = [
     "PrefixBudgetController",
     "PrefixView",
-    "bounded_shard_prefix",
-    "merge_prefix_parts",
-    "split_budget",
+    "bounded_prefix",
 ]
-
-#: Minimum per-shard slice of a split global budget: below this the fixed
-#: per-shard gather overheads dominate and the boundary cut discards most of
-#: what was gathered.
-_MIN_PER_SHARD = 32
 
 
 class PrefixView(tuple):
@@ -91,7 +71,7 @@ class PrefixView(tuple):
         ``None`` when the gather ran without table metadata.
     table_sizes:
         Per-table full (liveness-filtered, pre-exclusion) colliding bucket
-        sizes summed over all shards, or ``None``.  A bucket whose members
+        sizes, or ``None``.  A bucket whose members
         appear ``table_sizes[t]`` times in the view is provably complete.
     """
 
@@ -128,21 +108,19 @@ class PrefixView(tuple):
         )
 
 
-def bounded_shard_prefix(
-    shard, keys, limit: Optional[int], with_tables: bool = False
-):
-    """One table set's contribution to a bounded rank-prefix gather.
+def bounded_prefix(
+    tables, keys, limit: Optional[int], with_tables: bool = False
+) -> PrefixView:
+    """The bottom-*limit* rank prefix of a table set's colliding multiset.
 
-    *shard* is any rank-built :class:`~repro.lsh.tables.LSHTables` — a
-    shard of a sharded index, or a whole unsharded one.  Returns the
-    bottom-*limit* of its liveness-filtered colliding multiset by rank as
-    ``(local_indices, ranks, boundary)`` — ``boundary`` is ``None`` when
-    nothing was truncated (always so for ``limit=None``, which keeps the
-    whole multiset), and the whole return is ``None`` when the table set
-    holds no colliding references.  With ``with_tables`` the
-    tuple grows to ``(local_indices, ranks, boundary, table_ids,
-    table_sizes)`` where ``table_sizes[t]`` is the full liveness-filtered
-    size of the shard's bucket in table ``t`` (before any truncation).
+    *tables* is any rank-built :class:`~repro.lsh.tables.LSHTables` and
+    *keys* its per-table bucket keys for one query.  Returns the
+    liveness-filtered colliding references in ascending rank order; with a
+    *limit*, only a true rank prefix of them, flagged ``complete=False``
+    when anything was cut (``limit=None`` keeps the whole multiset).  With
+    ``with_tables`` the view also carries per-reference table ids and
+    ``table_sizes[t]``, the full liveness-filtered size of the bucket in
+    table ``t`` (before any truncation).
 
     The bounded cost comes from the :class:`~repro.lsh.tables.Bucket`
     invariant that ranked buckets are stored sorted ascending by rank:
@@ -151,22 +129,23 @@ def bounded_shard_prefix(
       bucket's tail can never drop a bottom-``limit`` member of the union
       (anything past a bucket's ``limit``-th member has ``limit`` smaller
       ranks ahead of it in that bucket alone);
-    * the final ``argpartition`` then runs over at most ``l * limit``
-      pre-cut entries instead of the full colliding multiset.
+    * the ``argpartition`` then runs over at most ``l * limit`` pre-cut
+      entries instead of the full colliding multiset.
 
-    The kept multiset — and therefore the boundary, ``max`` of the kept
-    ranks — is byte-identical to the uncut recipe; only the gather-side cost
-    changes from O(multiset) to O(tables * limit).  Every cut stage keeps a
-    downward-closed set of ranks, which is what makes the per-bucket
-    completeness accounting of ``with_tables`` sound.
+    References at the truncation boundary rank itself may have been cut,
+    so a truncated slice is cut again strictly below that boundary, after
+    which every surviving reference is provably present; a stable sort
+    restores ascending rank order.  Every cut stage keeps a downward-closed
+    set of ranks, which is what makes the per-bucket completeness
+    accounting of ``with_tables`` sound.
     """
-    alive = shard._alive if getattr(shard, "_pending", None) else None
-    shard_ranks: List[np.ndarray] = []
-    shard_indices: List[np.ndarray] = []
-    shard_tables: List[np.ndarray] = []
+    alive = tables._alive if getattr(tables, "_pending", None) else None
+    rank_parts: List[np.ndarray] = []
+    index_parts: List[np.ndarray] = []
+    table_parts: List[np.ndarray] = []
     table_sizes = np.zeros(len(keys), dtype=np.int64) if with_tables else None
     truncated = False
-    for table_index, (table, key) in enumerate(zip(shard._tables, keys)):
+    for table_index, (table, key) in enumerate(zip(tables._tables, keys)):
         bucket = table.get(key)
         if bucket is None or not len(bucket):
             continue
@@ -185,115 +164,41 @@ def bounded_shard_prefix(
             truncated = True
             ranks = ranks[:limit]
             indices = indices[:limit]
-        shard_ranks.append(ranks)
-        shard_indices.append(indices)
-        if with_tables:
-            shard_tables.append(np.full(ranks.size, table_index, dtype=np.int64))
-    if not shard_ranks:
-        return None
-    ranks = np.concatenate(shard_ranks) if len(shard_ranks) > 1 else shard_ranks[0]
-    locals_ = (
-        np.concatenate(shard_indices) if len(shard_indices) > 1 else shard_indices[0]
-    )
-    table_ids = None
-    if with_tables:
-        table_ids = (
-            np.concatenate(shard_tables) if len(shard_tables) > 1 else shard_tables[0]
-        )
-    boundary = None
-    if limit is not None and ranks.size > limit:
-        keep = np.argpartition(ranks, limit - 1)[:limit]
-        ranks = ranks[keep]
-        locals_ = locals_[keep]
-        if with_tables:
-            table_ids = table_ids[keep]
-        boundary = int(ranks.max())
-    elif truncated:
-        # Every bucket tail dropped above had >= limit smaller ranks ahead
-        # of it, so the union is still an exact prefix — but not the whole
-        # multiset, so it must carry its completeness boundary.
-        boundary = int(ranks.max())
-    if with_tables:
-        return locals_, ranks, boundary, table_ids, table_sizes
-    return locals_, ranks, boundary
-
-
-def merge_prefix_parts(
-    shard_parts: Sequence[Tuple[int, tuple]],
-    globals_of: Optional[Callable[[int], np.ndarray]],
-    num_tables: Optional[int] = None,
-) -> PrefixView:
-    """Merge per-shard gather parts into a certified global rank prefix.
-
-    *shard_parts* is ``[(shard_index, part), ...]`` with each part as
-    produced by :func:`bounded_shard_prefix` (non-``None``); *globals_of*
-    maps a shard index to its local→global slot translation array
-    (``None``: the parts already hold global indices).  Pass
-    *num_tables* iff the parts carry table metadata (``with_tables``) — a
-    shard absent from *shard_parts* held no colliding references, so it
-    contributes zero to every table size.
-
-    References at the lowest truncation boundary rank itself may be missing
-    from other truncated shards, so the merged multiset is cut strictly
-    below it, after which every surviving reference is provably present —
-    the returned view is a true global rank prefix, restored to ascending
-    rank order by a stable sort.  Its ``complete`` flag means no shard
-    truncated and the view *is* the full colliding view.
-    """
-    rank_parts: List[np.ndarray] = []
-    index_parts: List[np.ndarray] = []
-    tid_parts: List[np.ndarray] = []
-    sizes_total = (
-        np.zeros(num_tables, dtype=np.int64) if num_tables is not None else None
-    )
-    boundary: Optional[int] = None
-    for shard_index, part in shard_parts:
-        locals_, ranks, shard_boundary = part[0], part[1], part[2]
-        if shard_boundary is not None:
-            boundary = (
-                shard_boundary if boundary is None else min(boundary, shard_boundary)
-            )
         rank_parts.append(ranks)
-        index_parts.append(
-            locals_ if globals_of is None else globals_of(shard_index)[locals_]
-        )
-        if num_tables is not None:
-            tid_parts.append(part[3])
-            sizes_total += part[4]
+        index_parts.append(indices)
+        if with_tables:
+            table_parts.append(np.full(ranks.size, table_index, dtype=np.int64))
     if not rank_parts:
-        return PrefixView.empty(num_tables)
+        return PrefixView.empty(len(keys) if with_tables else None)
     ranks = np.concatenate(rank_parts) if len(rank_parts) > 1 else rank_parts[0]
     indices = np.concatenate(index_parts) if len(index_parts) > 1 else index_parts[0]
     table_ids = None
-    if num_tables is not None:
-        table_ids = np.concatenate(tid_parts) if len(tid_parts) > 1 else tid_parts[0]
-    complete = boundary is None
-    if not complete:
-        keep = ranks < boundary
+    if with_tables:
+        table_ids = np.concatenate(table_parts) if len(table_parts) > 1 else table_parts[0]
+    if limit is not None and ranks.size > limit:
+        keep = np.argpartition(ranks, limit - 1)[:limit]
         ranks = ranks[keep]
         indices = indices[keep]
-        if table_ids is not None:
+        if with_tables:
+            table_ids = table_ids[keep]
+        truncated = True
+    if truncated:
+        # Every bucket tail dropped above had >= limit smaller ranks ahead
+        # of it, so the union is an exact prefix up to its largest rank;
+        # cut strictly below that boundary rank.
+        keep = ranks < ranks.max()
+        ranks = ranks[keep]
+        indices = indices[keep]
+        if with_tables:
             table_ids = table_ids[keep]
     order = np.argsort(ranks, kind="stable")
     return PrefixView(
         ranks[order],
         indices[order],
         table_ids=None if table_ids is None else table_ids[order],
-        table_sizes=sizes_total,
-        complete=complete,
+        table_sizes=table_sizes,
+        complete=not truncated,
     )
-
-
-def split_budget(limit: int, n_fitted: int, floor: int = _MIN_PER_SHARD) -> int:
-    """Split a **global** prefix budget evenly across *n_fitted* shards.
-
-    Ceiling division, floored at *floor*: the merged view depth — and with
-    it gather bytes and the per-query merge/argsort work — tracks the global
-    budget rather than ``n_shards`` times it.  A skewed shard can truncate
-    early and force an escalation, but the boundary cut keeps every merged
-    view a provably exact global rank prefix at any split.
-    """
-    return max(-(-int(limit) // int(n_fitted)), floor)
 
 
 class PrefixBudgetController:
@@ -326,11 +231,10 @@ class PrefixBudgetController:
     reversible under workload drift.
 
     Every move is a deterministic function of per-round ``(limit,
-    certified_count)`` pairs — counts, not orderings — so every engine
-    (unsharded, thread or process executor) produces the same budget
-    sequence for the same batch stream.
-    The state is injectable (*start*) and observable (:meth:`state_dict`)
-    for the cross-executor equivalence tests.
+    certified_count)`` pairs — counts, not orderings — so the same batch
+    stream always produces the same budget sequence, whatever order its
+    queries were answered in.  The state is injectable (*start*) and
+    observable (:meth:`state_dict`) for the equivalence tests.
     """
 
     def __init__(

@@ -149,26 +149,10 @@ class EngineStats:
         Bucket compaction sweeps: one per batch sync that finds tombstones
         pending, plus any triggered by tombstone pressure between batches
         or forced by a sampler's full rebuild of derived state.
-    shard_merges:
-        Cross-shard candidate buckets materialized by a
-        :class:`~repro.engine.sharded.ShardedEngine` (per batch, each
-        distinct ``(table, bucket key)`` pair a query needs is merged at most
-        once; repeats hit the merged-bucket cache).  Deterministic for a
-        seeded workload — the counter the perf-guard CI job pins.
     prefix_scans, prefix_escalations:
         Queries answered from a bounded bottom-``B``-by-rank gather instead
         of the full colliding view, and the retries where the prefix proved
         too short and was widened.
-    worker_restarts:
-        Shard worker processes restarted by the
-        :class:`~repro.engine.procpool.WorkerSupervisor` after a crash or
-        hang (process executor only; 0 for thread-pool engines).
-    mutations_replayed:
-        Mutation operations replayed into restarted workers to bring their
-        shard replicas back to the authoritative parent state.
-    ipc_bytes_sent, ipc_bytes_received:
-        Total protocol bytes shipped to / received from shard worker
-        processes (length-prefixed frames; counts payload plus prefix).
     store_cache_hits, store_cache_misses, store_bytes_fetched:
         Mirrors of the active dataset store's block-cache lifetime counters
         (remote backend only; 0 for stores without a cache).  Refreshed —
@@ -192,13 +176,8 @@ class EngineStats:
     inserts: int = 0
     deletes: int = 0
     rebuilds_triggered: int = 0
-    shard_merges: int = 0
     prefix_scans: int = 0
     prefix_escalations: int = 0
-    worker_restarts: int = 0
-    mutations_replayed: int = 0
-    ipc_bytes_sent: int = 0
-    ipc_bytes_received: int = 0
     store_cache_hits: int = 0
     store_cache_misses: int = 0
     store_bytes_fetched: int = 0

@@ -8,13 +8,9 @@ holds three files:
     Human-readable metadata: format version, class names, the serving name
     and originating declarative spec (format v3 — see :mod:`repro.spec`),
     table shape, liveness counters and the engine's serving statistics.
-    Sharded engines (format v4) additionally record the shard topology —
-    ``n_shards``, the placement policy and one per-shard manifest entry.
 ``arrays.npz``
     The numeric bulk — per-table bucket member/rank arrays (flattened with
-    bucket offsets), the global rank array and the liveness mask.  Sharded
-    snapshots store each shard's bucket arrays under an ``s<j>_`` prefix
-    plus the recorded per-point placement (``shard_of`` / ``local_of``).
+    bucket offsets), the global rank array and the liveness mask.
 ``objects.pkl``
     The Python objects with no natural array form: the drawn hash functions,
     the LSH family, per-table bucket keys, the dataset points, the sampler
@@ -44,7 +40,6 @@ from repro.core.base import LSHNeighborSampler
 from repro.engine.batch import BatchQueryEngine
 from repro.engine.dynamic import DynamicLSHTables, MutationDelta
 from repro.engine.requests import EngineStats
-from repro.engine.sharded import ShardedEngine, ShardedLSHTables
 from repro.exceptions import InvalidParameterError, ReproError, SnapshotCorruptError
 from repro.lsh.tables import Bucket, LSHTables
 from repro.spec import EngineSpec, SamplerSpec
@@ -62,12 +57,11 @@ from repro.store import (
 #: state incrementally across the save/load boundary.  Version 3 added the
 #: engine's serving name (``sampler_name``) and its originating declarative
 #: spec (``spec`` / ``spec_kind``) to the manifest, making snapshots
-#: self-describing.  Version 4 is the *sharded* layout: per-shard bucket
-#: arrays and manifests plus the recorded point placement.  Unsharded
-#: engines keep writing version 3, so pre-existing loaders stay compatible.
+#: self-describing.  Version 4 was the layout of table-sharded engines,
+#: which no longer exist; :func:`load_engine` refuses it by name.
 FORMAT_VERSION = 3
 
-#: Format written for engines over :class:`~repro.engine.sharded.ShardedLSHTables`.
+#: The retired table-sharded format (see :data:`FORMAT_VERSION`).
 SHARDED_FORMAT_VERSION = 4
 
 #: Version 5 is the *out-of-core* layout: every array is written as its own
@@ -78,17 +72,16 @@ SHARDED_FORMAT_VERSION = 4
 #: the dataset.  Raw ``.npy`` payloads can be ``np.memmap``-ed directly, so
 #: a v5 snapshot is servable without reading the corpus
 #: (``load_engine(..., store="memmap")``) or with the corpus on a different
-#: machine entirely (``store="remote"``).  Sharding is orthogonal in v5: the
-#: manifest records it as the ``sharded`` flag rather than a distinct
-#: version.
+#: machine entirely (``store="remote"``).  v5 manifests written by
+#: table-sharded engines carry ``"sharded": true`` and are refused.
 NPY_FORMAT_VERSION = 5
 
 #: Formats ``load_engine`` reads.  Version 1 merely lacks the pending delta
 #: (the loader substitutes an empty one); version 2 lacks the spec and
 #: serving name (the loader leaves the spec ``None`` and derives the name
-#: from the sampler class); version 4 adds shards; version 5 stores raw
-#: ``.npy`` arrays and enables the out-of-core storage backends.
-COMPATIBLE_VERSIONS = (1, 2, FORMAT_VERSION, SHARDED_FORMAT_VERSION, NPY_FORMAT_VERSION)
+#: from the sampler class); version 5 stores raw ``.npy`` arrays and
+#: enables the out-of-core storage backends.
+COMPATIBLE_VERSIONS = (1, 2, FORMAT_VERSION, NPY_FORMAT_VERSION)
 
 _MANIFEST = "manifest.json"
 _ARRAYS = "arrays.npz"
@@ -136,13 +129,13 @@ def _decode_keys(entry, arrays) -> List[Hashable]:
 
 
 def _pack_tables(
-    tables, prefix: str, arrays: Dict[str, np.ndarray], npy: bool = False
+    tables, arrays: Dict[str, np.ndarray], npy: bool = False
 ) -> List[List[Hashable]]:
-    """Flatten one table set's buckets into *arrays* under *prefix*.
+    """Flatten the table set's buckets into *arrays*.
 
     Returns the per-table bucket key lists (pickled separately — keys are
     ints or tuples, not rectangular arrays).  Under the v5 layout (*npy*),
-    int-shaped key lists are diverted into ``{prefix}t{i}_keys`` arrays and
+    int-shaped key lists are diverted into ``t{i}_keys`` arrays and
     replaced by sentinels (see :func:`_encode_keys`).
     """
     bucket_keys: List[List[Hashable]] = []
@@ -150,20 +143,20 @@ def _pack_tables(
     for table_index, table in enumerate(tables._tables):
         keys = list(table.keys())
         bucket_keys.append(
-            _encode_keys(keys, f"{prefix}t{table_index}_keys", arrays) if npy else keys
+            _encode_keys(keys, f"t{table_index}_keys", arrays) if npy else keys
         )
         buckets = [table[key] for key in keys]
         sizes = np.asarray([len(bucket) for bucket in buckets], dtype=np.int64)
-        arrays[f"{prefix}t{table_index}_offsets"] = np.concatenate(
+        arrays[f"t{table_index}_offsets"] = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64)]
         )
-        arrays[f"{prefix}t{table_index}_indices"] = (
+        arrays[f"t{table_index}_indices"] = (
             np.concatenate([bucket.indices for bucket in buckets])
             if buckets
             else np.empty(0, dtype=np.intp)
         )
         if has_ranks:
-            arrays[f"{prefix}t{table_index}_ranks"] = (
+            arrays[f"t{table_index}_ranks"] = (
                 np.concatenate([bucket.ranks for bucket in buckets])
                 if buckets
                 else np.empty(0, dtype=np.int64)
@@ -178,16 +171,10 @@ def save_engine(
 ) -> pathlib.Path:
     """Write *engine* to *directory* (created if needed); returns the path.
 
-    Engines over :class:`~repro.engine.sharded.ShardedLSHTables` are written
-    in the sharded format (v4): every shard's buckets are persisted
-    separately together with the recorded placement, so the restored engine
-    resumes with the same partitioning — and the same byte-identical
-    responses — as the saved one.
-
     *format_version* selects the on-disk layout: ``None`` (default) writes
-    the legacy zipped format (v3, or v4 when sharded) — unless the engine is
-    already serving from an out-of-core store, in which case checkpoints
-    auto-upgrade to v5 so they stay servable out-of-core.  Pass ``5``
+    the legacy zipped format (v3) — unless the engine is already serving
+    from an out-of-core store, in which case checkpoints auto-upgrade to v5
+    so they stay servable out-of-core.  Pass ``5``
     explicitly to write the raw-``.npy`` layout that ``store="memmap"`` /
     ``store="remote"`` loading requires.
     """
@@ -204,48 +191,24 @@ def save_engine(
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    sharded = isinstance(tables, ShardedLSHTables)
     dynamic = isinstance(tables, DynamicLSHTables)
 
-    legacy_version = SHARDED_FORMAT_VERSION if sharded else FORMAT_VERSION
     if format_version is None:
         # Engines already serving out-of-core auto-upgrade their checkpoints
         # to v5: a crash-recovery load must be able to come back on the same
         # storage tier, which the zipped formats cannot provide.
         active = getattr(tables, "_store", None)
         backend = getattr(active, "backend", "inram") if active not in (None, False) else "inram"
-        format_version = NPY_FORMAT_VERSION if backend != "inram" else legacy_version
-    if format_version not in (legacy_version, NPY_FORMAT_VERSION):
+        format_version = NPY_FORMAT_VERSION if backend != "inram" else FORMAT_VERSION
+    if format_version not in (FORMAT_VERSION, NPY_FORMAT_VERSION):
         raise InvalidParameterError(
-            f"format_version must be {legacy_version} or {NPY_FORMAT_VERSION} for "
-            f"this engine, got {format_version!r}"
+            f"format_version must be {FORMAT_VERSION} or {NPY_FORMAT_VERSION}, "
+            f"got {format_version!r}"
         )
     npy = format_version == NPY_FORMAT_VERSION
 
     arrays: Dict[str, np.ndarray] = {}
-    shard_manifests = None
-    if sharded:
-        bucket_keys: List[Union[List[List[Hashable]], None]] = []
-        shard_manifests = []
-        for shard_index, shard in enumerate(tables.shards):
-            if tables._shard_fitted[shard_index]:
-                bucket_keys.append(_pack_tables(shard, f"s{shard_index}_", arrays, npy=npy))
-                arrays[f"s{shard_index}_pending"] = np.asarray(
-                    sorted(shard._pending), dtype=np.intp
-                )
-            else:
-                bucket_keys.append(None)
-            shard_manifests.append(
-                {
-                    "fitted": tables._shard_fitted[shard_index],
-                    "num_points": len(tables._globals_list[shard_index]),
-                    "rebuilds_triggered": shard.rebuilds_triggered,
-                }
-            )
-        arrays["shard_of"] = np.asarray(tables._shard_of, dtype=np.int64)
-        arrays["local_of"] = np.asarray(tables._local_of, dtype=np.int64)
-    else:
-        bucket_keys = _pack_tables(tables, "", arrays, npy=npy)
+    bucket_keys = _pack_tables(tables, arrays, npy=npy)
     if tables.ranks is not None:
         arrays["ranks"] = tables.ranks
     if dynamic:
@@ -289,7 +252,6 @@ def save_engine(
 
     manifest = {
         "format_version": format_version,
-        "sharded": sharded,
         "dataset_layout": dataset_layout if npy else None,
         "sampler_class": type(sampler).__name__,
         "sampler_name": engine.sampler_name,
@@ -309,18 +271,6 @@ def save_engine(
         "coalesce_duplicates": engine.coalesce_duplicates,
         "stats": engine.stats.to_dict(),
     }
-    if sharded:
-        manifest["n_shards"] = tables.n_shards
-        manifest["placement"] = tables.placement
-        manifest["shards"] = shard_manifests
-        # Additive key (older readers ignore it): which sharded executor the
-        # snapshotted engine used, so load_engine restores the same serving
-        # topology — "process" reconstructs a ProcessShardedEngine whose
-        # worker baselines capture the freshly restored shard state.
-        manifest["executor"] = (
-            "process" if type(engine).__name__ == "ProcessShardedEngine" else "thread"
-        )
-
     if npy:
         arrays_dir = directory / _ARRAYS_DIR
         arrays_dir.mkdir(parents=True, exist_ok=True)
@@ -435,10 +385,11 @@ def load_engine(
 ) -> BatchQueryEngine:
     """Reconstruct a :class:`BatchQueryEngine` saved by :func:`save_engine`.
 
-    All compatible formats load: v1–v3 unsharded snapshots restore exactly
-    as before, v4 snapshots come back as
-    :class:`~repro.engine.sharded.ShardedEngine` instances over the same
-    partitioning, and v5 snapshots additionally choose their storage tier.
+    All compatible formats load: v1–v3 snapshots restore exactly as
+    written, and v5 snapshots additionally choose their storage tier.
+    Snapshots of table-sharded engines (format v4, or a v5 manifest flagged
+    ``"sharded": true``) are refused with
+    :class:`~repro.exceptions.InvalidParameterError` naming the format.
 
     *store* selects the dataset backend: a backend name (``"inram"``,
     ``"memmap"``, ``"remote"``), a full :class:`~repro.store.StoreSpec`, or
@@ -478,13 +429,19 @@ def _load_engine(
     with open(directory / _MANIFEST, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
     version = manifest["format_version"]
+    if version == SHARDED_FORMAT_VERSION or (
+        version == NPY_FORMAT_VERSION and manifest.get("sharded")
+    ):
+        raise InvalidParameterError(
+            f"snapshot format {version} (sharded) is no longer supported: table "
+            "sharding was removed; re-save the index from an unsharded engine"
+        )
     if version not in COMPATIBLE_VERSIONS:
         raise InvalidParameterError(
             f"snapshot format {version} not supported "
             f"(expected one of {COMPATIBLE_VERSIONS})"
         )
     npy = version == NPY_FORMAT_VERSION
-    sharded = bool(manifest.get("sharded", version == SHARDED_FORMAT_VERSION))
 
     # Format v3 manifests are self-describing; v2 and older lack the spec and
     # serving name, so the spec stays None and the name is derived from the
@@ -526,18 +483,7 @@ def _load_engine(
     has_ranks = bool(manifest["has_ranks"])
     dynamic = bool(manifest["dynamic"])
 
-    if sharded:
-        tables = ShardedLSHTables(
-            objects["family"],
-            num_tables,
-            seed=0,
-            use_ranks=bool(manifest["use_ranks"]),
-            max_tombstone_fraction=float(manifest["max_tombstone_fraction"]),
-            n_shards=int(manifest["n_shards"]),
-            placement=manifest["placement"],
-            _functions=objects["functions"],
-        )
-    elif dynamic:
+    if dynamic:
         tables = DynamicLSHTables(
             objects["family"],
             num_tables,
@@ -562,49 +508,43 @@ def _load_engine(
         points, prebuilt_store = _restore_dataset(
             directory, manifest, objects, arrays, store_spec, block_client
         )
-        if sharded:
-            _restore_sharded_tables(tables, manifest, arrays, objects, points)
+        tables._tables = [
+            _restore_table(
+                arrays,
+                table_index,
+                _decode_keys(objects["bucket_keys"][table_index], arrays),
+                has_ranks,
+            )
+            for table_index in range(num_tables)
+        ]
+        tables._n = num_points
+        tables._ranks = arrays["ranks"] if has_ranks else None
+        tables._fitted = True
+
+        if dynamic:
+            tables._points = points
             if prebuilt_store is not None:
                 tables._store = prebuilt_store
+            if has_ranks:
+                # Re-establish the capacity buffer the rank view grows inside.
+                tables._ranks_buf = np.array(tables._ranks, dtype=np.int64)
+                tables._ranks = tables._ranks_buf[:num_points]
+            tables._alive = arrays["alive"].astype(bool)
+            tables._num_live = int(manifest["num_live"])
+            tables._pending = set(arrays["pending"].tolist())
+            tables.rebuilds_triggered = int(manifest["rebuilds_triggered"])
+            tables._mut_rng = objects["mut_rng"]
+            restored_delta = objects.get("pending_delta")
+            tables._delta = (
+                restored_delta if restored_delta is not None else MutationDelta.empty(num_tables)
+            )
+            # Epochs restart at 0 in the restored tables; re-anchor the delta
+            # so the re-anchored sampler (below) sees no epoch gap and can
+            # still apply the persisted record incrementally.
+            tables._delta.start_epoch = tables.mutation_epoch
             dataset = tables.dataset
         else:
-            tables._tables = [
-                _restore_table(
-                    arrays,
-                    table_index,
-                    _decode_keys(objects["bucket_keys"][table_index], arrays),
-                    has_ranks,
-                )
-                for table_index in range(num_tables)
-            ]
-            tables._n = num_points
-            tables._ranks = arrays["ranks"] if has_ranks else None
-            tables._fitted = True
-
-            if dynamic:
-                tables._points = points
-                if prebuilt_store is not None:
-                    tables._store = prebuilt_store
-                if has_ranks:
-                    # Re-establish the capacity buffer the rank view grows inside.
-                    tables._ranks_buf = np.array(tables._ranks, dtype=np.int64)
-                    tables._ranks = tables._ranks_buf[:num_points]
-                tables._alive = arrays["alive"].astype(bool)
-                tables._num_live = int(manifest["num_live"])
-                tables._pending = set(arrays["pending"].tolist())
-                tables.rebuilds_triggered = int(manifest["rebuilds_triggered"])
-                tables._mut_rng = objects["mut_rng"]
-                restored_delta = objects.get("pending_delta")
-                tables._delta = (
-                    restored_delta if restored_delta is not None else MutationDelta.empty(num_tables)
-                )
-                # Epochs restart at 0 in the restored tables; re-anchor the delta
-                # so the re-anchored sampler (below) sees no epoch gap and can
-                # still apply the persisted record incrementally.
-                tables._delta.start_epoch = tables.mutation_epoch
-                dataset = tables.dataset
-            else:
-                dataset = points
+            dataset = points
 
     sampler = objects["sampler"]
     sampler.tables = tables
@@ -619,15 +559,7 @@ def _load_engine(
     # delta persisted above round-trips and is applied on the next sync.
     sampler._synced_epoch = tables.mutation_epoch
 
-    if sharded and manifest.get("executor") == "process":
-        from repro.engine.procpool import ProcessShardedEngine
-
-        engine_cls = ProcessShardedEngine
-    elif sharded:
-        engine_cls = ShardedEngine
-    else:
-        engine_cls = BatchQueryEngine
-    engine = engine_cls(
+    engine = BatchQueryEngine(
         sampler,
         batch_hashing=bool(manifest["batch_hashing"]),
         coalesce_duplicates=bool(manifest["coalesce_duplicates"]),
@@ -719,81 +651,8 @@ def _restore_dataset(
     return StoreBackedPoints(store, released), store
 
 
-def _restore_sharded_tables(
-    tables: ShardedLSHTables, manifest: dict, arrays, objects: dict, points
-) -> None:
-    """Rebuild a :class:`ShardedLSHTables` (and its shards) from a v4/v5 snapshot."""
-    num_tables = int(manifest["num_tables"])
-    num_points = int(manifest["num_points"])
-    has_ranks = bool(manifest["has_ranks"])
-
-    tables._points = points
-    tables._n = num_points
-    tables._alive = arrays["alive"].astype(bool)
-    tables._num_live = int(manifest["num_live"])
-    tables._pending = set(arrays["pending"].tolist())
-    tables.rebuilds_triggered = int(manifest["rebuilds_triggered"])
-    tables._mut_rng = objects["mut_rng"]
-    if has_ranks:
-        tables._ranks_buf = np.array(arrays["ranks"], dtype=np.int64)
-        tables._ranks = tables._ranks_buf[:num_points]
-    else:
-        tables._ranks_buf = np.empty(0, dtype=np.int64)
-        tables._ranks = None
-
-    shard_of = arrays["shard_of"].astype(np.intp)
-    local_of = arrays["local_of"].astype(np.intp)
-    tables._shard_of = [int(s) for s in shard_of]
-    tables._local_of = [int(i) for i in local_of]
-    tables._globals_list = [[] for _ in range(tables.n_shards)]
-    for index, shard_index in enumerate(tables._shard_of):
-        tables._globals_list[shard_index].append(index)
-    tables._globals_np = [None] * tables.n_shards
-
-    for shard_index, shard in enumerate(tables.shards):
-        entry = manifest["shards"][shard_index]
-        if not entry["fitted"]:
-            tables._shard_fitted[shard_index] = False
-            continue
-        keys = objects["bucket_keys"][shard_index]
-        prefix = f"s{shard_index}_"
-        shard._tables = [
-            _restore_table(
-                arrays,
-                table_index,
-                _decode_keys(keys[table_index], arrays),
-                has_ranks,
-                prefix=prefix,
-            )
-            for table_index in range(num_tables)
-        ]
-        globals_ = np.asarray(tables._globals_list[shard_index], dtype=np.intp)
-        shard._n = int(globals_.size)
-        shard._points = [tables._points[int(g)] for g in globals_]
-        shard._alive = tables._alive[globals_].copy()
-        shard._num_live = int(shard._alive.sum())
-        if has_ranks:
-            shard._ranks_buf = np.array(tables._ranks_buf[globals_], dtype=np.int64)
-            shard._ranks = shard._ranks_buf[: shard._n]
-        else:
-            shard._ranks = None
-        shard._pending = set(arrays[f"{prefix}pending"].tolist())
-        shard.rebuilds_triggered = int(entry["rebuilds_triggered"])
-        shard._fitted = True
-        tables._shard_fitted[shard_index] = True
-
-    tables._restore_views()
-    tables._fitted = True
-    restored_delta = objects.get("pending_delta")
-    tables._delta = (
-        restored_delta if restored_delta is not None else MutationDelta.empty(num_tables)
-    )
-    tables._delta.start_epoch = tables.mutation_epoch
-    tables._unresolved_insert_points = []
-
-
 def _restore_table(
-    arrays, table_index: int, keys: List[Hashable], has_ranks: bool, prefix: str = ""
+    arrays, table_index: int, keys: List[Hashable], has_ranks: bool
 ) -> dict:
     """Rebuild one table's ``key -> Bucket`` dict from the flattened arrays."""
     # np.asarray demotes memmap-loaded arrays to base-ndarray views over the
@@ -802,9 +661,9 @@ def _restore_table(
     # the intp cast lazy too (int64 == intp on 64-bit platforms).  A ranked
     # table reads both arrays once, into the indices-over-ranks layout that
     # Bucket keeps its members in.
-    offsets = np.asarray(arrays[f"{prefix}t{table_index}_offsets"]).tolist()
-    indices = np.asarray(arrays[f"{prefix}t{table_index}_indices"]).astype(np.intp, copy=False)
-    ranks = np.asarray(arrays[f"{prefix}t{table_index}_ranks"]) if has_ranks else None
+    offsets = np.asarray(arrays[f"t{table_index}_offsets"]).tolist()
+    indices = np.asarray(arrays[f"t{table_index}_indices"]).astype(np.intp, copy=False)
+    ranks = np.asarray(arrays[f"t{table_index}_ranks"]) if has_ranks else None
     members = indices if ranks is None else np.array((indices, ranks))
     table = {}
     for position, key in enumerate(keys):

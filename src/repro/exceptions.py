@@ -65,31 +65,6 @@ class QuotaExceededError(CapacityExceededError):
     """
 
 
-class WorkerCrashedError(ReproError):
-    """Raised when a shard worker process died while serving a request.
-
-    The process-parallel engine (:class:`~repro.engine.procpool.
-    ProcessShardedEngine`) fails the in-flight batch with this error instead
-    of hanging on a dead socket.  By the time the error reaches the caller
-    the supervisor has already restarted the worker from its shard baseline
-    and replayed unacknowledged mutations, so the *next* request is served
-    normally — the error marks one lost batch, not a degraded engine.  The
-    HTTP layer surfaces it as a ``503`` (transient, retryable).
-
-    Attributes
-    ----------
-    shard_index:
-        Index of the shard whose worker died (``None`` when several died).
-    restarts:
-        Number of worker restarts performed while handling this failure.
-    """
-
-    def __init__(self, message: str, shard_index=None, restarts: int = 0):
-        super().__init__(message)
-        self.shard_index = shard_index
-        self.restarts = int(restarts)
-
-
 class SlotOutOfRangeError(InvalidParameterError, IndexError):
     """Raised when a mutation names a dataset slot outside ``[0, n)``.
 

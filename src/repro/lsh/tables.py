@@ -479,7 +479,7 @@ class LSHTables:
         gathered — the bottom-*limit* references by rank, cut strictly below
         the truncation boundary so every reference ranked lower is provably
         present — in O(tables × limit) instead of O(multiset) (see
-        :func:`~repro.engine.gather.bounded_shard_prefix`).  Samplers whose
+        :func:`~repro.engine.gather.bounded_prefix`).  Samplers whose
         answer is fixed by a rank prefix certify against it, and the engines
         widen the limit when they cannot.
 
@@ -491,7 +491,7 @@ class LSHTables:
         samplers that replay a bucket-by-bucket scan.
         """
         # Deferred: repro.engine imports this module.
-        from repro.engine.gather import merge_prefix_parts
+        from repro.engine.gather import bounded_prefix
 
         self._check_fitted()
         if self._ranks is None:
@@ -500,21 +500,7 @@ class LSHTables:
             raise InvalidParameterError(f"limit must be >= 1, got {limit}")
         if keys is None:
             keys = self.query_keys(query)
-        parts, globals_of = self._view_parts(keys, limit, with_tables)
-        return merge_prefix_parts(
-            parts, globals_of, num_tables=self.l if with_tables else None
-        )
-
-    def _view_parts(self, keys: List[Hashable], limit: Optional[int], with_tables: bool):
-        """The gather parts behind :meth:`colliding_view`, and their slot map.
-
-        One part over this whole table set, already in global slot indices;
-        the sharded layout overrides this with one part per shard.
-        """
-        from repro.engine.gather import bounded_shard_prefix
-
-        part = bounded_shard_prefix(self, keys, limit, with_tables=with_tables)
-        return ([] if part is None else [(0, part)]), None
+        return bounded_prefix(self, keys, limit, with_tables=with_tables)
 
     def rank_range_candidates(self, query: Point, lo: int, hi: int) -> np.ndarray:
         """Unique colliding indices with rank in ``[lo, hi)`` (Section 4, step 3b)."""

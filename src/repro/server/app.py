@@ -19,8 +19,8 @@ Endpoints
     "replacement"?, "exclude_index"?}``.
 ``POST /v1/sample_batch``
     ``{"queries": [...], ...}`` — answered as **one** engine batch, so the
-    coalescing/vectorized-hashing amortizations (and, sharded, the worker
-    pool) apply exactly as for an in-process ``FairNN.run``.
+    coalescing/vectorized-hashing amortizations apply exactly as for an
+    in-process ``FairNN.run``.
 ``POST /v1/mutate``
     ``{"op": "insert", "points": [...]}`` or ``{"op": "delete", "index": i}``.
 ``POST /v1/mutate`` also accepts an ``"idempotency_key"`` string: a retried
@@ -75,7 +75,6 @@ from repro.exceptions import (
     ReproError,
     SlotOutOfRangeError,
     WALWriteError,
-    WorkerCrashedError,
 )
 from repro.server.capacity import CapacityModel
 from repro.server.swap import ServingHandle, SnapshotSwapper, SwapInProgressError
@@ -152,10 +151,6 @@ def _map_exception(exc: Exception) -> _HTTPError:
         return _HTTPError(409, str(exc))
     if isinstance(exc, NotFittedError):
         return _HTTPError(503, str(exc))
-    if isinstance(exc, WorkerCrashedError):
-        # A shard worker died mid-batch; the supervisor has already
-        # restarted it, so the condition is transient — retryable.
-        return _HTTPError(503, str(exc), retry_after=1.0)
     if isinstance(exc, WALWriteError):
         # The journal append failed (disk full, I/O error); the mutation was
         # NOT applied.  507 Insufficient Storage: retry after the operator
@@ -395,8 +390,6 @@ class FairNNServer:
                 "point_kind": point_kind(nn),
                 "samplers": nn.sampler_names,
                 "primary": nn.primary,
-                "sharded": nn.is_sharded,
-                "n_shards": nn.n_shards,
                 "durable": nn.wal is not None,
                 "version": repro.__version__,
             }

@@ -342,7 +342,6 @@ class CapacityModel:
             "over_commit_ratio": self.over_commit_ratio,
             "live_points": int(occupancy.get("live_points") or 0),
             "pending_tombstones": int(occupancy.get("pending_tombstones") or 0),
-            "n_shards": int(occupancy.get("n_shards") or 1),
             "quotas": {
                 name: bucket.to_dict()
                 for name in sorted(quota_names)

@@ -1,7 +1,7 @@
 """Atomic hot snapshot swap: build offline, ship, verify, flip under load.
 
-Production indexes are rebuilt offline (re-parameterized, compacted,
-re-sharded) and shipped to servers as snapshot directories
+Production indexes are rebuilt offline (re-parameterized, compacted)
+and shipped to servers as snapshot directories
 (:mod:`repro.engine.snapshot`).  This module rolls such a snapshot into a
 live server without dropping a request:
 
@@ -19,7 +19,7 @@ live server without dropping a request:
    attribute write): requests that already entered the old generation finish
    on it untouched, the next request acquires the new one.  The retired
    generation is drained — once its in-flight count reaches zero its
-   engines' worker pools are closed deterministically.
+   engines are closed deterministically.
 
 Verification presumes the snapshot describes the *currently served* index
 state (the build-offline/ship/flip workflow).  Swapping to a snapshot taken
@@ -119,8 +119,8 @@ class Generation:
 
     def _close_engines(self) -> None:
         # Duck-typed on purpose: generations also wrap facade test doubles
-        # that expose only ``engines``.  ``FairNN.close()`` is the same
-        # recipe for library callers.
+        # that expose only ``engines``, and only engines that hold resources
+        # define ``close``.
         for engine in self.nn.engines.values():
             close = getattr(engine, "close", None)
             if close is not None:

@@ -50,16 +50,6 @@ __all__ = [
 #: Sentinel distinguishing "no seed passed" from "seed=None passed".
 _UNSET = object()
 
-#: Placement policies an :class:`EngineSpec` may name for sharded serving
-#: (kept in sync with :data:`repro.engine.sharded.PLACEMENTS`, which the
-#: engine layer re-validates at construction time).
-_PLACEMENTS = ("round_robin", "hash")
-
-#: Sharded batch executors an :class:`EngineSpec` may select: a thread pool
-#: in the serving process, or supervised per-shard worker processes over
-#: shared memory (:class:`repro.engine.procpool.ProcessShardedEngine`).
-_EXECUTORS = ("thread", "process")
-
 #: Write-ahead-log fsync policies an :class:`EngineSpec` may name (kept in
 #: sync with :data:`repro.engine.wal.FSYNC_POLICIES`): ``"always"`` fsyncs
 #: every append, ``"interval"`` flushes every append and fsyncs
@@ -301,26 +291,6 @@ class EngineSpec(_JsonRoundTrip):
         Compaction threshold forwarded to the dynamic table layer.
     batch_hashing, coalesce_duplicates:
         Forwarded to every :class:`~repro.engine.batch.BatchQueryEngine`.
-    n_shards:
-        Number of index partitions :meth:`~repro.api.FairNN.serve` builds.
-        ``1`` (the default) keeps the unsharded dynamic layout; values above
-        one build a :class:`~repro.engine.sharded.ShardedLSHTables` served
-        by :class:`~repro.engine.sharded.ShardedEngine` workers — responses
-        stay byte-identical to unsharded serving for the same spec + seed +
-        dataset.  Requires ``dynamic=True``.
-    placement:
-        Shard placement policy, ``"round_robin"`` or ``"hash"`` (see
-        :data:`repro.engine.sharded.PLACEMENTS`).
-    executor:
-        How sharded batches are executed: ``"thread"`` (the default — a
-        :class:`~repro.engine.sharded.ShardedEngine` thread pool in the
-        serving process) or ``"process"`` (a
-        :class:`~repro.engine.procpool.ProcessShardedEngine` running each
-        shard in a supervised worker process over shared-memory dataset
-        buffers).  Responses are byte-identical either way; ``"process"``
-        adds crash isolation and typed
-        :class:`~repro.exceptions.WorkerCrashedError` failure semantics.
-        Requires ``dynamic=True``.
     wal_fsync:
         Fsync policy the write-ahead log uses when :meth:`~repro.api.
         FairNN.serve` is given a ``data_dir``: ``"always"`` (fsync every
@@ -349,9 +319,6 @@ class EngineSpec(_JsonRoundTrip):
     max_tombstone_fraction: float = 0.25
     batch_hashing: bool = True
     coalesce_duplicates: bool = True
-    n_shards: int = 1
-    placement: str = "round_robin"
-    executor: str = "thread"
     wal_fsync: str = "interval"
     store: Optional[StoreSpec] = None
     prefix_budget: Optional[int] = None
@@ -376,27 +343,6 @@ class EngineSpec(_JsonRoundTrip):
         object.__setattr__(self, "primary", primary)
         if not 0.0 < float(self.max_tombstone_fraction) <= 1.0:
             raise InvalidParameterError("max_tombstone_fraction must be in (0, 1]")
-        if not isinstance(self.n_shards, int) or isinstance(self.n_shards, bool) or self.n_shards < 1:
-            raise InvalidParameterError(
-                f"EngineSpec.n_shards must be an int >= 1, got {self.n_shards!r}"
-            )
-        if self.placement not in _PLACEMENTS:
-            raise InvalidParameterError(
-                f"EngineSpec.placement must be one of {_PLACEMENTS}, got {self.placement!r}"
-            )
-        if self.n_shards > 1 and not self.dynamic:
-            raise InvalidParameterError(
-                "EngineSpec.n_shards > 1 requires dynamic=True (sharding is a serving-layer structure)"
-            )
-        if self.executor not in _EXECUTORS:
-            raise InvalidParameterError(
-                f"EngineSpec.executor must be one of {_EXECUTORS}, got {self.executor!r}"
-            )
-        if self.executor == "process" and not self.dynamic:
-            raise InvalidParameterError(
-                "EngineSpec.executor='process' requires dynamic=True "
-                "(shard workers replicate the dynamic mutation stream)"
-            )
         if self.wal_fsync not in _FSYNC_POLICIES:
             raise InvalidParameterError(
                 f"EngineSpec.wal_fsync must be one of {_FSYNC_POLICIES}, got {self.wal_fsync!r}"
@@ -449,9 +395,6 @@ class EngineSpec(_JsonRoundTrip):
             "max_tombstone_fraction": self.max_tombstone_fraction,
             "batch_hashing": self.batch_hashing,
             "coalesce_duplicates": self.coalesce_duplicates,
-            "n_shards": self.n_shards,
-            "placement": self.placement,
-            "executor": self.executor,
             "wal_fsync": self.wal_fsync,
             "store": None if self.store is None else self.store.to_dict(),
             "prefix_budget": self.prefix_budget,
@@ -460,7 +403,19 @@ class EngineSpec(_JsonRoundTrip):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineSpec":
-        """Reconstruct a spec from :meth:`to_dict` output (validated)."""
+        """Reconstruct a spec from :meth:`to_dict` output (validated).
+
+        Dicts persisted before table sharding was removed may still carry
+        its three keys; they load when each holds the unsharded default, and
+        raise :class:`~repro.exceptions.InvalidParameterError` otherwise.
+        """
+        legacy = {"n_shards": 1, "placement": "round_robin", "executor": "thread"}
+        for key, default in legacy.items():
+            if key in data and data[key] != default:
+                raise InvalidParameterError(
+                    f"EngineSpec no longer supports {key}={data[key]!r}: table "
+                    f"sharding was removed, only the default {default!r} loads"
+                )
         _reject_unknown_keys(
             data,
             (
@@ -470,9 +425,7 @@ class EngineSpec(_JsonRoundTrip):
                 "max_tombstone_fraction",
                 "batch_hashing",
                 "coalesce_duplicates",
-                "n_shards",
-                "placement",
-                "executor",
+                *legacy,
                 "wal_fsync",
                 "store",
                 "prefix_budget",
@@ -490,9 +443,6 @@ class EngineSpec(_JsonRoundTrip):
             max_tombstone_fraction=float(data.get("max_tombstone_fraction", 0.25)),
             batch_hashing=bool(data.get("batch_hashing", True)),
             coalesce_duplicates=bool(data.get("coalesce_duplicates", True)),
-            n_shards=int(data.get("n_shards", 1)),
-            placement=data.get("placement", "round_robin"),
-            executor=data.get("executor", "thread"),
             wal_fsync=data.get("wal_fsync", "interval"),
             store=(
                 None

@@ -21,7 +21,7 @@ Select a tier declaratively with :class:`StoreSpec` — via
 ``store`` field of :class:`~repro.spec.EngineSpec`.
 """
 
-from repro.store.base import DatasetStore, SharedStoreExport
+from repro.store.base import DatasetStore
 from repro.store.blocks import BlockClient, HTTPBlockClient, LocalBlockClient, block_count
 from repro.store.inram import DenseStore, SetStore, make_store
 from repro.store.memmap import MemmapDenseStore, MemmapSetStore, open_npy_mapped
@@ -42,7 +42,6 @@ __all__ = [
     "RemoteSetStore",
     "STORE_BACKENDS",
     "SetStore",
-    "SharedStoreExport",
     "StoreBackedPoints",
     "StoreSpec",
     "block_count",

@@ -23,19 +23,17 @@ Three interchangeable backends implement the contract (see
 The engine layers above are oblivious to the backend: candidate evaluation
 routes every batched read through :meth:`DatasetStore.gather`, the serving
 capacity model reads :attr:`DatasetStore.nbytes` (backend-aware — out-of-core
-stores charge their resident overlay/cache, not the corpus), and the process
-pool ships stores across processes via :meth:`DatasetStore.to_shared`
-descriptors.
+stores charge their resident overlay/cache, not the corpus).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.exceptions import InvalidParameterError
 
-__all__ = ["DatasetStore", "SharedStoreExport"]
+__all__ = ["DatasetStore"]
 
 
 class DatasetStore(abc.ABC):
@@ -132,115 +130,3 @@ class DatasetStore(abc.ABC):
         if cache is not None:
             payload["cache"] = cache
         return payload
-
-    def to_shared(self) -> "SharedStoreExport":
-        """Export the store for zero-copy attachment by another process.
-
-        Returns a :class:`SharedStoreExport` whose ``descriptor`` is a small
-        picklable dict another process can hand to :meth:`from_shared` to
-        attach the same rows without copying the corpus.  In-RAM stores copy
-        their columnar buffers into POSIX shared-memory segments; memmap
-        stores just ship the snapshot path (the OS page cache *is* the shared
-        segment).  The export is a one-time snapshot of the current rows; the
-        owner keeps the handle alive for as long as attachers need it and
-        must call :meth:`SharedStoreExport.unlink` when done (shared-memory
-        segments otherwise outlive the process; path descriptors make it a
-        no-op).
-        """
-        raise InvalidParameterError(
-            f"{type(self).__name__} has no shared-memory export"
-        )
-
-    @staticmethod
-    def from_shared(descriptor: Dict) -> "DatasetStore":
-        """Attach the store described by a :meth:`to_shared` descriptor.
-
-        The returned store is **read-only** (``append`` raises) and views the
-        exporter's shared-memory segments (or maps the exporter's snapshot
-        files) without copying.  Call :meth:`detach` on it to drop the
-        mappings; attachers never ``unlink`` — segment lifetime belongs to
-        the exporting process.
-        """
-        kind = descriptor.get("kind")
-        if kind == "dense":
-            from repro.store.inram import _AttachedDenseStore
-
-            return _AttachedDenseStore(descriptor)
-        if kind == "sets":
-            from repro.store.inram import _AttachedSetStore
-
-            return _AttachedSetStore(descriptor)
-        if kind == "memmap_dense":
-            from repro.store.memmap import MemmapDenseStore
-
-            return MemmapDenseStore._attach(descriptor)
-        if kind == "memmap_sets":
-            from repro.store.memmap import MemmapSetStore
-
-            return MemmapSetStore._attach(descriptor)
-        raise InvalidParameterError(f"unknown shared store kind: {kind!r}")
-
-    def detach(self) -> None:
-        """Close shared-memory mappings held by an attached store (no-op otherwise)."""
-
-
-class SharedStoreExport:
-    """Owner-side handle of a store exported via :meth:`DatasetStore.to_shared`.
-
-    Holds the shared-memory segments alive and carries the picklable
-    ``descriptor`` attachers feed to :meth:`DatasetStore.from_shared`.  The
-    exporting process is the segments' owner: it must eventually call
-    :meth:`unlink` exactly once (idempotent here) or the segments leak past
-    process exit.  Attachers only ever map and close.  Path-based exports
-    (the memmap tier) carry no segments, so ``close``/``unlink`` are no-ops.
-    """
-
-    def __init__(self, descriptor: Dict, segments: List):
-        self.descriptor = descriptor
-        self._segments = segments
-        self._closed = False
-        self._unlinked = False
-
-    def close(self) -> None:
-        """Drop this process's mappings (safe to call repeatedly)."""
-        if self._closed:
-            return
-        self._closed = True
-        for segment in self._segments:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-
-    def unlink(self) -> None:
-        """Destroy the segments (owner only; safe to call repeatedly)."""
-        self.close()
-        if self._unlinked:
-            return
-        self._unlinked = True
-        for segment in self._segments:
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already removed
-                pass
-
-
-def _create_segment(nbytes: int):
-    from multiprocessing import shared_memory
-
-    # Zero-size segments are rejected by the OS; a 1-byte floor keeps empty
-    # stores (no rows yet) exportable with the same code path.
-    return shared_memory.SharedMemory(create=True, size=max(1, int(nbytes)))
-
-
-def _attach_segment(name: str):
-    from multiprocessing import shared_memory
-
-    # Attaching registers the name with the resource tracker a second time.
-    # That is harmless — and must NOT be "fixed" with an unregister — as long
-    # as attachers share the exporter's tracker daemon: the tracker's cache
-    # is a set, so the re-register is a no-op and the owner's ``unlink()``
-    # performs the single removal.  Same-process attachment and fork-started
-    # workers (what :mod:`repro.engine.procpool` uses) both satisfy this;
-    # spawn-started attachers would need Python 3.13's ``track=False``.
-    return shared_memory.SharedMemory(name=name)

@@ -24,17 +24,12 @@ back to the per-pair scalar loop, which remains the semantic reference.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.store.base import (
-    DatasetStore,
-    SharedStoreExport,
-    _attach_segment,
-    _create_segment,
-)
+from repro.store.base import DatasetStore
 
 __all__ = ["DenseStore", "SetStore", "make_store"]
 
@@ -108,20 +103,6 @@ class DenseStore(DatasetStore):
         self._buf[self._n : needed] = rows
         self._n = needed
         # Norms for the appended rows are filled lazily on next access.
-
-    def to_shared(self) -> "SharedStoreExport":
-        matrix = self.matrix
-        segment = _create_segment(matrix.nbytes)
-        if matrix.size:
-            view = np.ndarray(matrix.shape, dtype=np.float64, buffer=segment.buf)
-            view[...] = matrix
-        descriptor = {
-            "kind": "dense",
-            "segment": segment.name,
-            "rows": int(matrix.shape[0]),
-            "dim": int(matrix.shape[1]),
-        }
-        return SharedStoreExport(descriptor, [segment])
 
 
 class SetStore(DatasetStore):
@@ -197,95 +178,6 @@ class SetStore(DatasetStore):
             self._items[used:filled] = items
         self._points.extend(points)
         self._n = rows
-
-    def to_shared(self) -> "SharedStoreExport":
-        indptr = self.indptr
-        items = self.items
-        indptr_segment = _create_segment(indptr.nbytes)
-        np.ndarray(indptr.shape, dtype=np.int64, buffer=indptr_segment.buf)[...] = indptr
-        items_segment = _create_segment(items.nbytes)
-        if items.size:
-            np.ndarray(items.shape, dtype=np.int64, buffer=items_segment.buf)[...] = items
-        descriptor = {
-            "kind": "sets",
-            "indptr_segment": indptr_segment.name,
-            "items_segment": items_segment.name,
-            "rows": int(self._n),
-            "items_len": int(items.shape[0]),
-        }
-        return SharedStoreExport(descriptor, [indptr_segment, items_segment])
-
-
-class _AttachedDenseStore(DenseStore):
-    """Read-only :class:`DenseStore` viewing another process's shared matrix."""
-
-    def __init__(self, descriptor: Dict):
-        segment = _attach_segment(descriptor["segment"])
-        rows, dim = int(descriptor["rows"]), int(descriptor["dim"])
-        buf = np.ndarray((rows, dim), dtype=np.float64, buffer=segment.buf)
-        buf.flags.writeable = False
-        self._buf = buf
-        self._n = rows
-        self.dim = dim
-        self._norms_buf = None
-        self._segments = [segment]
-
-    def append(self, points: Sequence) -> None:
-        raise InvalidParameterError("shared-memory attached stores are read-only")
-
-    def detach(self) -> None:
-        for segment in self._segments:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._segments = []
-
-
-class _AttachedSetStore(SetStore):
-    """Read-only :class:`SetStore` viewing another process's CSR buffers.
-
-    Point objects are not shipped; :meth:`get_point` reconstructs each row's
-    frozenset lazily from the CSR slice and caches it.  Tombstoned slots come
-    back as empty frozensets — callers that track liveness (the dynamic
-    tables' alive mask) never ask for them.
-    """
-
-    def __init__(self, descriptor: Dict):
-        indptr_segment = _attach_segment(descriptor["indptr_segment"])
-        items_segment = _attach_segment(descriptor["items_segment"])
-        rows = int(descriptor["rows"])
-        items_len = int(descriptor["items_len"])
-        indptr = np.ndarray((rows + 1,), dtype=np.int64, buffer=indptr_segment.buf)
-        items = np.ndarray((items_len,), dtype=np.int64, buffer=items_segment.buf)
-        indptr.flags.writeable = False
-        items.flags.writeable = False
-        self._indptr = indptr
-        self._items = items
-        self._n = rows
-        self._points = [None] * rows
-        self._segments = [indptr_segment, items_segment]
-
-    def get_point(self, index: int):
-        cached = self._points[index]
-        if cached is None:
-            start = int(self._indptr[index])
-            end = int(self._indptr[index + 1])
-            cached = frozenset(int(item) for item in self._items[start:end])
-            self._points[index] = cached
-        return cached
-
-    def append(self, points: Sequence) -> None:
-        raise InvalidParameterError("shared-memory attached stores are read-only")
-
-    def detach(self) -> None:
-        for segment in self._segments:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._segments = []
-
 
 def _grown(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
     """*buf*, or a copy of its first *used* rows with room for *needed*.

@@ -17,11 +17,6 @@ rows transparently, and tombstoned slots are tracked by the
 in-RAM backend.  Values are byte-identical to the in-RAM stores for the same
 slots — ``float64`` rows and sorted ``int64`` CSR rows read back exactly as
 written.
-
-Process-pool serving ships memmap stores by *path*, not by copy:
-:meth:`~MemmapDenseStore.to_shared` returns a descriptor naming the snapshot
-files and shard workers re-map them, so the OS page cache is the shared
-segment and no shared-memory copy of the corpus is made.
 """
 
 from __future__ import annotations
@@ -31,8 +26,8 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError, SnapshotCorruptError
-from repro.store.base import DatasetStore, SharedStoreExport
+from repro.exceptions import SnapshotCorruptError
+from repro.store.base import DatasetStore
 from repro.store.inram import DenseStore, SetStore
 
 __all__ = ["MemmapDenseStore", "MemmapSetStore", "open_npy_mapped"]
@@ -100,23 +95,6 @@ class MemmapDenseStore(DatasetStore):
         # is immutable); gathers stitch the two address ranges transparently.
         self._overlay = DenseStore(np.empty((0, self.dim), dtype=np.float64))
         self._norms_buf: Optional[np.ndarray] = None
-        self._read_only = False
-
-    # -- classmethods ---------------------------------------------------
-    @classmethod
-    def _attach(cls, descriptor: Dict) -> "MemmapDenseStore":
-        """Re-map the exporter's snapshot file (procpool worker side)."""
-        store = cls(descriptor["path"])
-        if store._base_n != int(descriptor["rows"]) or store.dim != int(descriptor["dim"]):
-            raise InvalidParameterError(
-                f"mapped store shape ({store._base_n}, {store.dim}) does not match "
-                f"descriptor ({descriptor['rows']}, {descriptor['dim']})"
-            )
-        overlay = descriptor.get("overlay")
-        if overlay is not None and len(overlay):
-            store._overlay.append(np.asarray(overlay, dtype=np.float64))
-        store._read_only = True
-        return store
 
     # -- DatasetStore ---------------------------------------------------
     def __len__(self) -> int:
@@ -130,7 +108,7 @@ class MemmapDenseStore(DatasetStore):
     @property
     def matrix(self) -> np.ndarray:
         """All rows as one in-RAM matrix (materializes the corpus; used by
-        the snapshot writer and shared-memory fallbacks, not the hot path)."""
+        the snapshot writer, not the hot path)."""
         if len(self._overlay) == 0:
             return np.asarray(self._base)
         return np.concatenate([np.asarray(self._base), self._overlay.matrix])
@@ -182,32 +160,7 @@ class MemmapDenseStore(DatasetStore):
         return out
 
     def append(self, points: Sequence) -> None:
-        if self._read_only:
-            raise InvalidParameterError("attached memmap stores are read-only")
         self._overlay.append(points)
-
-    def to_shared(self) -> SharedStoreExport:
-        overlay = self._overlay.matrix
-        descriptor = {
-            "kind": "memmap_dense",
-            "path": self._path,
-            "rows": self._base_n,
-            "dim": self.dim,
-            # Overlay rows (post-load churn) are tiny relative to the mapped
-            # corpus; they ride along by value so attachers see every slot.
-            "overlay": np.array(overlay) if len(overlay) else None,
-        }
-        return SharedStoreExport(descriptor, [])
-
-    def detach(self) -> None:
-        base = self._base
-        self._base = np.empty((0, self.dim), dtype=np.float64)
-        mm = getattr(base, "_mmap", None)
-        if mm is not None:
-            try:
-                mm.close()
-            except (OSError, ValueError, BufferError):  # pragma: no cover
-                pass
 
     def stats_dict(self) -> Dict:
         payload = super().stats_dict()
@@ -262,21 +215,6 @@ class MemmapSetStore(DatasetStore):
         self._base_n = int(self._indptr.shape[0] - 1)
         self._overlay = SetStore([])
         self._point_cache: Dict[int, frozenset] = {}
-        self._read_only = False
-
-    @classmethod
-    def _attach(cls, descriptor: Dict) -> "MemmapSetStore":
-        store = cls(descriptor["indptr_path"], descriptor["items_path"])
-        if store._base_n != int(descriptor["rows"]):
-            raise InvalidParameterError(
-                f"mapped set store holds {store._base_n} rows, descriptor says "
-                f"{descriptor['rows']}"
-            )
-        overlay = descriptor.get("overlay")
-        if overlay:
-            store._overlay.append([frozenset(row) for row in overlay])
-        store._read_only = True
-        return store
 
     def __len__(self) -> int:
         return self._base_n + len(self._overlay)
@@ -355,32 +293,7 @@ class MemmapSetStore(DatasetStore):
         return lengths, np.asarray(self._base_items[positions], dtype=np.int64)
 
     def append(self, points: Sequence) -> None:
-        if self._read_only:
-            raise InvalidParameterError("attached memmap stores are read-only")
         self._overlay.append(points)
-
-    def to_shared(self) -> SharedStoreExport:
-        descriptor = {
-            "kind": "memmap_sets",
-            "indptr_path": self._indptr_path,
-            "items_path": self._items_path,
-            "rows": self._base_n,
-            "overlay": [
-                None if p is None else sorted(int(i) for i in p)
-                for p in self._overlay._points
-            ],
-        }
-        return SharedStoreExport(descriptor, [])
-
-    def detach(self) -> None:
-        items = self._base_items
-        self._base_items = np.empty(0, dtype=np.int64)
-        mm = getattr(items, "_mmap", None)
-        if mm is not None:
-            try:
-                mm.close()
-            except (OSError, ValueError, BufferError):  # pragma: no cover
-                pass
 
     def stats_dict(self) -> Dict:
         payload = super().stats_dict()

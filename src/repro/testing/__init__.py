@@ -8,7 +8,6 @@ chaos-testing guide in ``docs/operations.md``.
 
 from repro.testing.faults import (
     FaultInjector,
-    FaultPlan,
     crash_process,
     flip_byte,
     raise_disk_full,
@@ -18,7 +17,6 @@ from repro.testing.faults import (
 
 __all__ = [
     "FaultInjector",
-    "FaultPlan",
     "crash_process",
     "flip_byte",
     "raise_disk_full",

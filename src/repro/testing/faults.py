@@ -1,19 +1,9 @@
 """Chaos-injection primitives for the serving stack.
 
-Two complementary mechanisms live here:
-
-:class:`FaultPlan`
-    Declarative, deterministic crash scheduling for *shard worker
-    processes* (grown in the process-parallel engine, now reusable): kill,
-    exit or hang a worker after its N-th query or replicated mutation.
-    Consumed by :meth:`repro.engine.procpool.ProcessShardedEngine.
-    inject_fault`.
-
 :class:`FaultInjector`
     Imperative, site-based fault firing for *in-process* code paths.
     Components expose named sites (the WAL fires ``"wal.append"``,
-    ``"wal.flush"`` and ``"wal.fsync"``; the worker supervisor fires
-    ``"proc.send"`` and ``"proc.recv"``); tests arm an action — raise
+    ``"wal.flush"`` and ``"wal.fsync"``); tests arm an action — raise
     disk-full, crash the process, sleep past a timeout — to run on the
     K-th pass through a site.  This turns "crash exactly between the WAL
     flush and the table apply" from a race into a deterministic test.
@@ -40,40 +30,12 @@ from repro.exceptions import InvalidParameterError
 
 __all__ = [
     "FaultInjector",
-    "FaultPlan",
     "crash_process",
     "flip_byte",
     "raise_disk_full",
     "sleep_for",
     "tear_tail",
 ]
-
-
-@dataclass
-class FaultPlan:
-    """Deterministic crash injection for one (or every) shard worker.
-
-    Triggers are 1-based counts of protocol events observed by the worker
-    *after* the plan is installed: the worker dies while serving its
-    ``kill_after_queries``-th ``QUERY`` frame (before replying — mid-batch
-    from the parent's point of view) or right after applying its
-    ``kill_after_mutations``-th replicated mutation.  Plans are one-shot: the
-    supervisor clears a worker's plan when it handles that worker's crash,
-    so the restarted worker serves normally.
-
-    ``mode`` selects how the worker dies: ``"kill"`` (SIGKILL itself — no
-    cleanup, the hard case), ``"exit"`` (``os._exit``) or ``"hang"`` (sleep
-    past the parent's reply timeout; the supervisor treats the silence as a
-    crash and kills the process).
-    """
-
-    shard_index: Optional[int] = None
-    kill_after_queries: Optional[int] = None
-    kill_after_mutations: Optional[int] = None
-    mode: str = "kill"
-
-    def matches(self, shard_index: int) -> bool:
-        return self.shard_index is None or self.shard_index == shard_index
 
 
 @dataclass
@@ -188,7 +150,7 @@ def crash_process(mode: str = "kill") -> None:
 
 
 def sleep_for(seconds: float) -> Callable[[], None]:
-    """Action factory: stall a site (e.g. delay an IPC frame past a timeout)."""
+    """Action factory: stall a site (e.g. delay a WAL flush past a timeout)."""
 
     def action() -> None:
         time.sleep(seconds)

@@ -293,8 +293,7 @@ def test_mutation_waits_for_a_running_sweep(op, monkeypatch):
     assert _references_per_table(tables) == [tables.num_live] * tables.l
 
 
-@pytest.mark.parametrize("shards", [None, 2])
-def test_facade_mutations_race_batches(shards):
+def test_facade_mutations_race_batches():
     """Concurrent facade deletes and inserts against concurrent batches.
 
     With scalar kernels a batch reads point objects from the dataset list,
@@ -314,7 +313,7 @@ def test_facade_mutations_race_batches(shards):
             )
         }
     )
-    nn = FairNN(spec).serve(dataset, shards=shards)
+    nn = FairNN(spec).serve(dataset)
     queries = dataset[:16]
     doomed = [int(index) for index in rng.permutation(300)[:120]]
     insert_batches = [_sets(rng, 2, universe=40) for _ in range(40)]

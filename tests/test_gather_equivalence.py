@@ -1,22 +1,22 @@
-"""The unified gather layer: primitives, budget controller, executor parity.
+"""The gather layer: primitives, budget controller, parallel-fallback parity.
 
-Three layers of guarantees for :mod:`repro.engine.gather`, the rank-prefix
-core every engine shares:
+Three layers of guarantees for :mod:`repro.engine.gather` and the query
+loop of :class:`~repro.engine.batch.BatchQueryEngine`:
 
-1. **Primitive correctness** — :func:`~repro.engine.gather.
-   bounded_shard_prefix` / :func:`~repro.engine.gather.merge_prefix_parts`
-   produce true, certified global rank prefixes (with sound per-table
+1. **Primitive correctness** — :func:`~repro.engine.gather.bounded_prefix`
+   produces true, certified rank prefixes (with sound per-table
    completeness metadata), and :class:`~repro.engine.gather.PrefixView`
    stays unpackable as the bare ``(ranks, indices)`` tuple.
 2. **Controller determinism** — :class:`~repro.engine.gather.
    PrefixBudgetController` is a pure, order-insensitive function of the
    per-round certification counts: injectable state, exact tuning moves,
    probe-down clock.
-3. **Executor parity** — for the same batch stream, the unsharded, thread
-   and process engines return the sampler's own full-view answers byte for
-   byte, and engines gathering from the same shard layout walk the exact
-   same controller state sequence, for single draws, ``k``-draws and the
-   bucket-replaying standard-LSH sampler alike.
+3. **Parallel-fallback parity** — for the same batch stream, the engine
+   returns the sampler's own full-view answers byte for byte, and answering
+   fallback queries in parallel chunks moves no answer, no counter and no
+   controller state, for single draws, ``k``-draws and the
+   bucket-replaying standard-LSH sampler alike.  A store with a block cache
+   is answered serially, so its cache counters stay order-independent.
 """
 
 from __future__ import annotations
@@ -24,24 +24,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import BatchQueryEngine, ShardedEngine
+from repro.core.base import LSHNeighborSampler
+import repro.engine.batch as engine_batch
+from repro.engine import BatchQueryEngine, load_engine, save_engine
 from repro.engine.batch import build_tables
-from repro.engine.gather import (
-    PrefixBudgetController,
-    PrefixView,
-    bounded_shard_prefix,
-    merge_prefix_parts,
-    split_budget,
-)
-from repro.engine.procpool import ProcessShardedEngine
+from repro.engine.gather import PrefixBudgetController, PrefixView, bounded_prefix
 from repro.engine.requests import QueryRequest, QueryResponse
 from repro.exceptions import InvalidParameterError
 from repro.spec import LSHSpec, SamplerSpec
+from repro.store import LocalBlockClient
 
-from repro import EngineSpec, FairNN, MinHashFamily
+from repro import EngineSpec, FairNN, MinHashFamily, registry
 from repro.core import StandardLSHSampler
 
-from test_sharded import SET_PARAMS, _assert_identical, _make_sampler
+SET_PARAMS = {"radius": 0.35, "far_radius": 0.1, "num_hashes": 2, "num_tables": 8}
+
+
+def _make_sampler(name, seed=7):
+    spec = SamplerSpec(name, SET_PARAMS, lsh=LSHSpec("minhash"), seed=seed)
+    return spec.build()
 
 
 def _build_sampler(name, seed=7):
@@ -54,6 +55,37 @@ def _build_sampler(name, seed=7):
     if name == "standard_lsh":
         return StandardLSHSampler(MinHashFamily(), seed=seed, use_ranks=True, **SET_PARAMS)
     return _make_sampler(name, seed=seed)
+
+
+def _assert_identical(reference, candidate):
+    assert len(reference) == len(candidate)
+    for left, right in zip(reference, candidate):
+        assert left.indices == right.indices
+        assert left.value == right.value
+        assert left.stats == right.stats
+        assert left.sampler == right.sampler
+
+
+@pytest.fixture
+def parallel_fallback(monkeypatch):
+    """Switch the parallel fallback on (two workers, even on one CPU) or off.
+
+    Returns a setter; the calls list counts batches that reached the pool.
+    """
+    calls = []
+    pool_of = engine_batch._shared_answer_pool
+
+    def counted_pool():
+        calls.append(1)
+        return pool_of()
+
+    monkeypatch.setattr(engine_batch, "_shared_answer_pool", counted_pool)
+
+    def switch(on):
+        monkeypatch.setattr(engine_batch, "_ANSWER_WORKERS", 2 if on else 1)
+        return calls
+
+    return switch
 
 
 @pytest.fixture(scope="module")
@@ -84,78 +116,51 @@ class TestGatherPrimitives:
         assert tabled.table_ids.size == 0
         assert np.array_equal(tabled.table_sizes, np.zeros(5, dtype=np.int64))
 
-    def test_split_budget_is_ceiling_division_with_floor(self):
-        assert split_budget(128, 4) == 32
-        assert split_budget(130, 4) == 33
-        assert split_budget(128, 1) == 128
-        # Tiny splits are floored: below it the per-shard overheads dominate.
-        assert split_budget(64, 8) == 32
-        assert split_budget(64, 8, floor=4) == 8
-
-    def test_bounded_gather_merges_to_a_true_certified_prefix(self, hub_dataset):
-        sampler = _make_sampler("permutation")
-        engine = ShardedEngine.build(sampler, hub_dataset, n_shards=3)
-        tables = engine.tables
+    def test_bounded_gather_is_a_true_certified_prefix(self, hub_dataset):
+        tables, _ = build_tables(_make_sampler("permutation"), hub_dataset)
         query = hub_dataset[0]
-        full_ranks, full_indices = tables.colliding_view(query)
-        order = np.argsort(full_ranks, kind="stable")
-        full_ranks, full_indices = full_ranks[order], full_indices[order]
-
         keys = tables.query_keys(query)
+        buckets = [b for b in tables.query_buckets(query) if len(b)]
+        all_ranks = np.concatenate([b.ranks for b in buckets])
+        order = np.argsort(all_ranks, kind="stable")
+        full_ranks = all_ranks[order]
+        full_indices = np.concatenate([b.indices for b in buckets])[order]
         for limit in (4, 16, 10_000):
-            parts = []
-            for shard_index in engine.tables._fitted_shards():
-                part = bounded_shard_prefix(tables.shards[shard_index], keys, limit)
-                if part is not None:
-                    parts.append((shard_index, part))
-            view = merge_prefix_parts(parts, tables._shard_globals)
+            view = bounded_prefix(tables, keys, limit)
             ranks, indices = view
-            # A true prefix: byte-identical head of the full rank-sorted view.
+            # A true prefix: byte-identical head of the full rank-sorted view,
+            # cut strictly below the truncation boundary.
             assert np.array_equal(ranks, full_ranks[: ranks.size])
             assert np.array_equal(indices, full_indices[: indices.size])
-            if view.complete:
-                assert ranks.size == full_ranks.size
+            assert view.complete == (ranks.size == full_ranks.size)
+            if not view.complete:
+                assert ranks.size < limit
+                assert full_ranks[ranks.size] > (ranks[-1] if ranks.size else -1)
+        assert bounded_prefix(tables, keys, None).complete
 
     def test_with_tables_metadata_accounts_per_bucket_completeness(self, hub_dataset):
-        for n_shards in (None, 3):
-            tables, _ = build_tables(
-                _build_sampler("standard_lsh"), hub_dataset, n_shards=n_shards
-            )
-            query = hub_dataset[0]
-            keys = tables.query_keys(query)
-            view = tables.colliding_view(None, 10_000, keys=keys, with_tables=True)
-            assert view.complete
-            # At a generous limit every bucket survives whole: the per-table
-            # reference counts must equal the recorded full bucket sizes,
-            # which in turn must equal the buckets' actual sizes.
-            buckets = tables.query_buckets(query)
-            for table_index in range(tables.num_tables):
-                in_view = int(np.count_nonzero(view.table_ids == table_index))
-                assert in_view == int(view.table_sizes[table_index])
-                assert in_view == len(buckets[table_index])
-            # Two references per table set: far below this query's multiset
-            # (a sharded view floors its per-shard split, so cut the shards
-            # directly there).
-            if n_shards is None:
-                truncated = tables.colliding_view(None, 2, keys=keys, with_tables=True)
-            else:
-                parts = []
-                for shard_index in tables._fitted_shards():
-                    part = bounded_shard_prefix(
-                        tables.shards[shard_index], keys, 2, with_tables=True
-                    )
-                    if part is not None:
-                        parts.append((shard_index, part))
-                truncated = merge_prefix_parts(
-                    parts, tables._shard_globals, num_tables=tables.num_tables
-                )
-            assert not truncated.complete
-            # Truncation may only ever *shrink* a bucket's surviving count,
-            # and the recorded full sizes must not change.
-            assert np.array_equal(truncated.table_sizes, view.table_sizes)
-            for table_index in range(tables.num_tables):
-                in_view = int(np.count_nonzero(truncated.table_ids == table_index))
-                assert in_view <= int(truncated.table_sizes[table_index])
+        tables, _ = build_tables(_build_sampler("standard_lsh"), hub_dataset)
+        query = hub_dataset[0]
+        keys = tables.query_keys(query)
+        view = tables.colliding_view(None, 10_000, keys=keys, with_tables=True)
+        assert view.complete
+        # At a generous limit every bucket survives whole: the per-table
+        # reference counts must equal the recorded full bucket sizes, which
+        # in turn must equal the buckets' actual sizes.
+        buckets = tables.query_buckets(query)
+        for table_index in range(tables.num_tables):
+            in_view = int(np.count_nonzero(view.table_ids == table_index))
+            assert in_view == int(view.table_sizes[table_index])
+            assert in_view == len(buckets[table_index])
+        # Two references per table: far below this query's multiset.
+        truncated = tables.colliding_view(None, 2, keys=keys, with_tables=True)
+        assert not truncated.complete
+        # Truncation may only ever *shrink* a bucket's surviving count, and
+        # the recorded full sizes must not change.
+        assert np.array_equal(truncated.table_sizes, view.table_sizes)
+        for table_index in range(tables.num_tables):
+            in_view = int(np.count_nonzero(truncated.table_ids == table_index))
+            assert in_view <= int(truncated.table_sizes[table_index])
 
 
 # ----------------------------------------------------------------------
@@ -302,8 +307,50 @@ def _reference_responses(sampler, name, batch):
     return responses
 
 
+def _lsh_backed_sampler_names():
+    """Every registered sampler that can serve over dynamic tables."""
+    names = []
+    for name, cls in registry.SAMPLERS.items():
+        if not issubclass(cls, LSHNeighborSampler):
+            continue
+        if registry.SAMPLERS.metadata(name).get("inputs") != "family":
+            continue
+        if not cls.supports_dynamic_ranks:
+            continue  # e.g. rank_perturbation: permutation ranks only
+        names.append(name)
+    return sorted(names)
+
+
+def _churn_workload(rng, n=150):
+    dataset = [
+        frozenset(int(x) for x in rng.choice(500, size=rng.integers(8, 25)))
+        for _ in range(n)
+    ]
+    queries = list(dataset[:15]) + [
+        frozenset(int(x) for x in rng.choice(500, size=12)) for _ in range(10)
+    ]
+    inserts = [frozenset(int(x) for x in rng.choice(500, size=15)) for _ in range(30)]
+    doomed = [int(x) for x in rng.choice(n, size=45, replace=False)]
+    return dataset, queries, inserts, doomed
+
+
+def _serve_and_churn(engine, queries, inserts, doomed):
+    """A serving trace: batches interleaved with churn (deletes cross sweeps)."""
+    responses = list(engine.run(queries))
+    engine.insert_many(inserts)
+    responses += engine.run(queries)
+    for position, index in enumerate(doomed):
+        engine.delete(index)
+        if position % 7 == 0:
+            responses += engine.run(queries[:4])
+    responses += engine.run(queries)
+    responses += engine.run([QueryRequest(q, k=3, replacement=False) for q in queries[:6]])
+    responses += engine.run([QueryRequest(q, exclude_index=i) for i, q in enumerate(queries[:6])])
+    return responses
+
+
 class TestExecutorGatherEquivalence:
-    """Every engine runs one gather loop, and it answers like the sampler.
+    """One gather loop answers like the sampler, serially or in parallel.
 
     Identical answers alone would tolerate divergent budget dynamics (a
     wrong budget costs work, not bytes) — so the controller's full state is
@@ -312,104 +359,166 @@ class TestExecutorGatherEquivalence:
 
     @pytest.mark.parametrize("sampler_name", ["permutation", "standard_lsh"])
     def test_byte_identical_answers_and_budget_sequences(
-        self, hub_dataset, sampler_name
+        self, hub_dataset, sampler_name, parallel_fallback
     ):
         stream = _batch_stream(hub_dataset)
 
-        def serve(engine):
+        def serve(parallel):
+            parallel_fallback(parallel)
+            engine = BatchQueryEngine.build(_build_sampler(sampler_name), hub_dataset)
             answers, budgets = [], []
-            try:
-                for batch in stream:
-                    answers.append(engine.run(list(batch)))
-                    budgets.append(engine._budget.state_dict())
-                counters = engine.stats.to_dict()
-            finally:
-                close = getattr(engine, "close", None)
-                if close is not None:
-                    close()
-            return answers, budgets, counters
+            for requests in stream:
+                answers.append(engine.run(list(requests)))
+                budgets.append(engine._budget.state_dict())
+            return answers, budgets, engine.stats.to_dict()
 
-        # The reference bypasses every engine: the sampler's own full-view
+        # The reference bypasses the engine: the sampler's own full-view
         # sample_detailed / sample_k over identically built tables.
         sampler = _build_sampler(sampler_name)
         tables, bound = build_tables(sampler, hub_dataset)
         sampler.attach(tables, bound)
-        reference = [_reference_responses(sampler, sampler_name, batch) for batch in stream]
+        reference = [
+            _reference_responses(sampler, sampler_name, requests) for requests in stream
+        ]
 
-        served = {
-            "unsharded": serve(
-                BatchQueryEngine.build(_build_sampler(sampler_name), hub_dataset)
-            ),
-            "thread@1": serve(
-                ShardedEngine.build(_build_sampler(sampler_name), hub_dataset, n_shards=1)
-            ),
-            "thread@4": serve(
-                ShardedEngine.build(_build_sampler(sampler_name), hub_dataset, n_shards=4)
-            ),
-            "process@4": serve(
-                ProcessShardedEngine.build(
-                    _build_sampler(sampler_name), hub_dataset, n_shards=4
-                )
-            ),
-        }
-        for answers, _, _ in served.values():
-            for ref_batch, batch in zip(reference, answers):
-                _assert_identical(ref_batch, batch)
-        # The gather did the answering on every engine.
-        for _, _, counters in served.values():
+        serial = serve(parallel=False)
+        parallel = serve(parallel=True)
+        for answers, _, counters in (serial, parallel):
+            for ref_batch, served in zip(reference, answers):
+                _assert_identical(ref_batch, served)
+            # The gather did most of the answering.
             assert counters["prefix_scans"] > 0
-        # An unsharded engine is the one-shard case of the same loop: same
-        # budget moves, same certification/escalation profile.
-        _, unsharded_budgets, unsharded_counters = served["unsharded"]
-        _, one_shard_budgets, one_shard_counters = served["thread@1"]
-        assert unsharded_budgets == one_shard_budgets
-        for counter in ("prefix_scans", "prefix_escalations"):
-            assert unsharded_counters[counter] == one_shard_counters[counter]
-        assert unsharded_counters["shard_merges"] == 0
-        # Same shard layout, different executor: same controller, same moves.
-        _, thread_budgets, thread_counters = served["thread@4"]
-        _, process_budgets, process_counters = served["process@4"]
-        assert thread_budgets == process_budgets
-        for counter in ("prefix_scans", "prefix_escalations", "shard_merges"):
-            assert thread_counters[counter] == process_counters[counter]
+        # Answering the fallback in parallel moves no budget and no counter.
+        assert serial[1] == parallel[1]
+        assert serial[2] == parallel[2]
+
+    def test_rankless_standard_lsh_answers_identically_in_parallel(
+        self, hub_dataset, parallel_fallback
+    ):
+        """Without ranks every query takes the fallback: all of them run on
+        the pool, and answers and every counter match the serial engine."""
+
+        def serve(parallel):
+            calls = parallel_fallback(parallel)
+            before = len(calls)
+            engine = BatchQueryEngine.build(_make_sampler("standard_lsh"), hub_dataset)
+            assert engine.tables.ranks is None
+            answers = [engine.run(list(requests)) for requests in _batch_stream(hub_dataset)]
+            return answers, engine.stats.to_dict(), len(calls) - before
+
+        serial_answers, serial_counters, serial_pooled = serve(parallel=False)
+        answers, counters, pooled = serve(parallel=True)
+        for left, right in zip(serial_answers, answers):
+            _assert_identical(left, right)
+        assert serial_counters == counters
+        assert serial_pooled == 0 and pooled == len(_batch_stream(hub_dataset))
+
+    def test_every_lsh_backed_sampler_is_covered(self):
+        # Keep the derived sampler list below honest against the registry.
+        assert set(_lsh_backed_sampler_names()) == {
+            "approximate",
+            "collect_all",
+            "independent",
+            "permutation",
+            "standard_lsh",
+        }
+
+    @pytest.mark.parametrize("name", _lsh_backed_sampler_names())
+    def test_parallel_fallback_is_byte_identical_with_churn(self, name, parallel_fallback):
+        dataset, queries, inserts, doomed = _churn_workload(np.random.default_rng(42))
+
+        def serve(parallel):
+            parallel_fallback(parallel)
+            engine = BatchQueryEngine.build(_make_sampler(name), dataset)
+            responses = _serve_and_churn(engine, queries, inserts, doomed)
+            return responses, engine.stats.to_dict()
+
+        serial_responses, serial_counters = serve(parallel=False)
+        responses, counters = serve(parallel=True)
+        _assert_identical(serial_responses, responses)
+        assert serial_counters == counters
+
+    def test_remote_store_answers_serially_with_repeatable_cache_counters(
+        self, hub_dataset, tmp_path, parallel_fallback
+    ):
+        """The remote store's LRU has no lock and counts hits in read order,
+        so fallback queries over it answer serially, run after run."""
+        built = BatchQueryEngine.build(_make_sampler("standard_lsh"), hub_dataset)
+        save_engine(built, tmp_path / "snap", format_version=5)
+        calls = parallel_fallback(True)
+        store = {"backend": "remote", "cache_blocks": 2, "block_size": 8}
+
+        def serve():
+            engine = load_engine(
+                tmp_path / "snap",
+                store=store,
+                block_client=LocalBlockClient(tmp_path / "snap"),
+            )
+            answers = engine.run(list(hub_dataset[:40]))
+            return answers, engine.stats_dict()["counters"]
+
+        first_answers, first_counters = serve()
+        second_answers, second_counters = serve()
+        assert calls == []
+        _assert_identical(first_answers, second_answers)
+        _assert_identical(built.run(list(hub_dataset[:40])), first_answers)
+        assert first_counters == second_counters
+        assert first_counters["store_cache_misses"] > 0
+
+    def test_one_cpu_answers_serially(self, hub_dataset, parallel_fallback):
+        calls = parallel_fallback(False)
+        engine = BatchQueryEngine.build(_make_sampler("standard_lsh"), hub_dataset)
+        engine.run(list(hub_dataset[:20]))
+        assert calls == []
+
+    def test_prefix_flag_without_override_falls_back_to_full_view(self, hub_dataset):
+        """A sampler may declare supports_rank_prefix_scan but keep the base
+        sample_detailed_from_prefix (always None): the engine must fall back
+        to the full view once the prefix is complete, not escalate forever."""
+
+        class FlaggedWithoutOverride(StandardLSHSampler):
+            # Declare the capability but strip the real prefix replayers back
+            # to the base always-refuse implementations.
+            supports_rank_prefix_scan = True
+            prefix_scan_needs_tables = False
+            sample_detailed_from_prefix = LSHNeighborSampler.sample_detailed_from_prefix
+            sample_k_from_prefix = LSHNeighborSampler.sample_k_from_prefix
+
+        sampler = FlaggedWithoutOverride(MinHashFamily(), seed=7, use_ranks=True, **SET_PARAMS)
+        engine = BatchQueryEngine.build(sampler, hub_dataset)
+        responses = engine.run(list(hub_dataset[:5]))
+        assert len(responses) == 5
+        assert engine.stats.prefix_scans == 0  # nothing certified via prefix
 
     def test_disabled_controller_routes_batches_to_merged_buckets(self, hub_dataset):
         """A disabled regime skips the prefix path wholesale — and probes back.
 
-        Answers must stay byte-identical either way (the merged-bucket path
-        is the reference semantics); only the counters may move.
+        Answers must stay byte-identical either way (the full-view path is
+        the reference semantics); only the counters may move.
         """
         reference = BatchQueryEngine.build(
             _make_sampler("permutation"), hub_dataset
         ).run(list(hub_dataset[:10]))
-        engine = ShardedEngine.build(_make_sampler("permutation"), hub_dataset, n_shards=2)
-        try:
-            engine._budget.disabled = True
-            # probe_every=4: three straight batches skip the prefix path...
-            for _ in range(3):
-                _assert_identical(reference, engine.run(list(hub_dataset[:10])))
-            assert engine.stats.prefix_scans == 0
-            assert engine.stats.shard_merges > 0
-            # ... and the fourth is a probe: this workload certifies within
-            # the cap, so the controller switches the prefix path back on.
+        engine = BatchQueryEngine.build(_make_sampler("permutation"), hub_dataset)
+        engine._budget.disabled = True
+        # probe_every=4: three straight batches skip the prefix path...
+        for _ in range(3):
             _assert_identical(reference, engine.run(list(hub_dataset[:10])))
-            assert engine.stats.prefix_scans > 0
-            assert not engine._budget.disabled
-            _assert_identical(reference, engine.run(list(hub_dataset[:10])))
-        finally:
-            engine.close()
+        assert engine.stats.prefix_scans == 0
+        # ... and the fourth is a probe: this workload certifies within the
+        # cap, so the controller switches the prefix path back on.
+        _assert_identical(reference, engine.run(list(hub_dataset[:10])))
+        assert engine.stats.prefix_scans > 0
+        assert not engine._budget.disabled
+        _assert_identical(reference, engine.run(list(hub_dataset[:10])))
 
     def test_configured_budget_seeds_the_controller(self, hub_dataset):
-        built = ShardedEngine.build(_make_sampler("permutation"), hub_dataset, n_shards=2)
-        built.close()
-        engine = ShardedEngine(built.sampler, prefix_budget=256, prefix_budget_cap=512)
-        try:
-            assert engine._budget.limit == 256
-            assert engine._budget.cap == 512
-        finally:
-            engine.close()
+        built = BatchQueryEngine.build(_make_sampler("permutation"), hub_dataset)
+        engine = BatchQueryEngine(built.sampler, prefix_budget=256, prefix_budget_cap=512)
+        assert engine._budget.limit == 256
+        assert engine._budget.cap == 512
         with pytest.raises(InvalidParameterError):
-            ShardedEngine(built.sampler, prefix_budget=512, prefix_budget_cap=256)
+            BatchQueryEngine(built.sampler, prefix_budget=512, prefix_budget_cap=256)
 
     def test_spec_budget_reaches_the_unsharded_engine(self, hub_dataset, tmp_path):
         spec = EngineSpec(
@@ -432,7 +541,7 @@ class TestExecutorGatherEquivalence:
 
 # ----------------------------------------------------------------------
 class TestBoundedCollidingView:
-    """``colliding_view(query, limit)`` on every unsharded table layout.
+    """``colliding_view(query, limit)`` on every table layout.
 
     A deliberately tiny budget forces truncated prefixes and escalations, so
     the certify/escalate loop runs on every query; answers and per-query

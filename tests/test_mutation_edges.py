@@ -23,7 +23,7 @@ import pytest
 
 from repro.api import FairNN
 from repro.core import PermutationFairSampler
-from repro.engine import BatchQueryEngine, ShardedEngine
+from repro.engine import BatchQueryEngine
 from repro.exceptions import (
     AlreadyDeletedError,
     InvalidParameterError,
@@ -43,19 +43,16 @@ def _dataset(seed=3, n=60):
     ]
 
 
-def _engine(dataset, sharded=False, seed=7):
+def _engine(dataset, seed=7):
     sampler = PermutationFairSampler(
         MinHashFamily(), seed=seed, **{k: SET_PARAMS[k] for k in SET_PARAMS}
     )
-    if sharded:
-        return ShardedEngine.build(sampler, dataset, n_shards=3)
     return BatchQueryEngine.build(sampler, dataset)
 
 
-@pytest.mark.parametrize("sharded", [False, True])
 class TestDeleteEdgeSemantics:
-    def test_out_of_range_raises_index_error(self, sharded):
-        engine = _engine(_dataset(), sharded)
+    def test_out_of_range_raises_index_error(self):
+        engine = _engine(_dataset())
         for bad in (len(engine.tables.dataset), 10_000, -1):
             with pytest.raises(SlotOutOfRangeError):
                 engine.delete(bad)
@@ -65,8 +62,8 @@ class TestDeleteEdgeSemantics:
             with pytest.raises(InvalidParameterError):
                 engine.delete(bad)
 
-    def test_double_delete_raises_key_error(self, sharded):
-        engine = _engine(_dataset(), sharded)
+    def test_double_delete_raises_key_error(self):
+        engine = _engine(_dataset())
         engine.delete(0)
         with pytest.raises(AlreadyDeletedError):
             engine.delete(0)
@@ -75,8 +72,8 @@ class TestDeleteEdgeSemantics:
         with pytest.raises(InvalidParameterError):
             engine.delete(0)
 
-    def test_failed_delete_has_no_side_effects(self, sharded):
-        engine = _engine(_dataset(), sharded)
+    def test_failed_delete_has_no_side_effects(self):
+        engine = _engine(_dataset())
         tables = engine.tables
         engine.delete(1)
         delta_before = tables.peek_delta()
@@ -97,9 +94,9 @@ class TestDeleteEdgeSemantics:
             assert tables.mutation_epoch == epoch_before
             assert engine.stats.to_dict() == stats_before
 
-    def test_tombstone_fraction_not_moved_by_failed_deletes(self, sharded):
+    def test_tombstone_fraction_not_moved_by_failed_deletes(self):
         dataset = _dataset(n=40)
-        engine = _engine(dataset, sharded)
+        engine = _engine(dataset)
         tables = engine.tables
         # Bring the index one delete short of the compaction trigger, then
         # hammer it with failing deletes: no sweep may fire.
@@ -127,10 +124,9 @@ class TestFairNNDeleteSemantics:
         assert {name: s.to_dict() for name, s in nn.stats().items()} == stats_before
 
 
-@pytest.mark.parametrize("sharded", [False, True])
 class TestEmptyInsertIsANoOp:
-    def test_engine_empty_insert_many(self, sharded):
-        engine = _engine(_dataset(), sharded)
+    def test_engine_empty_insert_many(self):
+        engine = _engine(_dataset())
         tables = engine.tables
         epoch = tables.mutation_epoch
         stats_before = engine.stats.to_dict()
@@ -140,8 +136,8 @@ class TestEmptyInsertIsANoOp:
         assert engine.stats.to_dict() == stats_before
         assert engine._tables_dirty is False
 
-    def test_tables_empty_insert_many(self, sharded):
-        engine = _engine(_dataset(), sharded)
+    def test_tables_empty_insert_many(self):
+        engine = _engine(_dataset())
         tables = engine.tables
         epoch = tables.mutation_epoch
         assert tables.insert_many([]) == []
@@ -153,7 +149,7 @@ class TestFairNNEmptyInsert:
     def test_no_delta_no_counters_no_sync(self):
         dataset = _dataset()
         spec = SamplerSpec("permutation", SET_PARAMS, lsh=LSHSpec("minhash"), seed=5)
-        nn = FairNN.from_spec(spec).serve(dataset, shards=2)
+        nn = FairNN.from_spec(spec).serve(dataset)
         stats_before = {name: s.to_dict() for name, s in nn.stats().items()}
         assert nn.insert_many([]) == []
         assert {name: s.to_dict() for name, s in nn.stats().items()} == stats_before
@@ -178,8 +174,7 @@ class TestFairNNEmptyInsert:
 
 
 class TestNeighborhoodLivenessAudit:
-    @pytest.mark.parametrize("shards", [None, 3])
-    def test_neighborhood_equals_fresh_exact_scan_under_churn(self, shards):
+    def test_neighborhood_equals_fresh_exact_scan_under_churn(self):
         """Property test: after arbitrary interleavings of insert / delete /
         compaction, ``FairNN.neighborhood`` equals a fresh exact scan over
         the surviving points — in particular it survives compaction-released
@@ -191,11 +186,7 @@ class TestNeighborhoodLivenessAudit:
             samplers={"fair": SamplerSpec("permutation", SET_PARAMS, lsh=LSHSpec("minhash"), seed=5)},
             max_tombstone_fraction=0.15,  # force frequent sweeps
         )
-        nn = (
-            FairNN.from_spec(spec).serve(dataset)
-            if shards is None
-            else FairNN.from_spec(spec).serve(dataset, shards=shards)
-        )
+        nn = FairNN.from_spec(spec).serve(dataset)
         sampler = nn.samplers["fair"]
         queries = [dataset[0], dataset[7], frozenset(int(x) for x in rng.choice(400, size=12))]
 

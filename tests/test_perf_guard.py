@@ -32,7 +32,7 @@ from repro.core import (
     StandardLSHSampler,
 )
 from repro.distances import JaccardSimilarity
-from repro.engine import BatchQueryEngine, ProcessShardedEngine, ShardedEngine
+from repro.engine import BatchQueryEngine
 from repro.lsh import MinHashFamily
 
 
@@ -256,7 +256,7 @@ class TestCleanSortFreePrefixes:
 
 
 class TestUnshardedPrefixCounters:
-    """The unsharded engine answers through the bounded rank-prefix gather.
+    """The engine answers through the bounded rank-prefix gather.
 
     A regression back to full-view scoring drops ``prefix_scans`` to zero; a
     budget or certification regression moves the pinned escalation count.
@@ -273,81 +273,9 @@ class TestUnshardedPrefixCounters:
         # One certified scan per distinct single draw (duplicates coalesce).
         assert stats.coalesced_queries == 5
         assert stats.prefix_scans == 25
-        # Plain dynamic tables have nothing to merge across shards.
-        assert stats.shard_merges == 0
         # Cold-start escalations through the shared widened rounds: a
         # deterministic count (order-insensitive sums over the batch).
         assert stats.prefix_escalations == 82
-        assert engine.stats_dict()["counters"]["prefix_budget"] == 2048
-
-
-#: Counters whose totals are exact deterministic functions of a seeded
-#: sharded workload.  ``key_cache_hits`` is excluded: its increments happen
-#: on the hot path inside answer workers and are documented as best-effort
-#: under parallel serving.
-_DETERMINISTIC_SHARDED_COUNTERS = (
-    "queries_served",
-    "batches_served",
-    "coalesced_queries",
-    "candidates_scanned",
-    "distance_evaluations",
-    "distance_kernel_calls",
-    "shard_merges",
-    "prefix_scans",
-    "prefix_escalations",
-    "inserts",
-    "deletes",
-)
-
-
-class TestShardedMergeCounters:
-    """Counter-based guards for the sharded merge path (CI perf-guard job).
-
-    A regression that re-merges cached buckets, merges buckets no query
-    needs, or abandons the rank-prefix gather shows up in these exact
-    deterministic counters long before it shows up on a wall clock.
-    """
-
-    def _sharded(self, sampler_cls, heavy_workload, seed=21):
-        sampler = _lsh(sampler_cls, seed=seed)
-        return ShardedEngine.build(sampler, heavy_workload["dataset"], n_shards=4)
-
-    def test_merges_bounded_by_distinct_keys_and_cached_across_batches(
-        self, heavy_workload
-    ):
-        engine = self._sharded(IndependentFairSampler, heavy_workload)
-        queries = [heavy_workload["query"]] + heavy_workload["dataset"][:20]
-        engine.run(queries)
-        # The Section 4 sampler's sketch build at attach time already
-        # materialized (and cached) every merged bucket, so a fresh engine
-        # serves its first batches without a single re-merge.
-        assert engine.stats.shard_merges == 0
-        # Mutation invalidates the merged-bucket cache; the next batch
-        # re-merges — but at most once per distinct (table, key) pair.
-        engine.insert(frozenset({9000, 9001, 9002}))
-        engine.run(queries)
-        first = engine.stats.shard_merges
-        assert 0 < first <= len(queries) * engine.tables.num_tables
-        # An identical batch is then served entirely from the cache again.
-        engine.run(queries)
-        assert engine.stats.shard_merges == first
-
-    def test_prefix_scan_replaces_full_merges_for_rank_prefix_samplers(
-        self, heavy_workload
-    ):
-        engine = self._sharded(PermutationFairSampler, heavy_workload)
-        queries = heavy_workload["dataset"][:25]
-        responses = engine.run(queries)
-        assert all(r.found for r in responses)  # hub workload: everyone is near
-        # Single-draw batches of a rank-prefix sampler never materialize
-        # merged buckets — candidates come from the bounded per-shard gather.
-        assert engine.stats.shard_merges == 0
-        assert engine.stats.prefix_scans == 25
-        # The hub workload's colliding views dwarf the cold opening budget,
-        # so the first batch escalates through the shared widened rounds — a
-        # deterministic count (order-insensitive sums over the batch).
-        assert engine.stats.prefix_escalations == 85
-        # ... after which the controller has settled on the certifying depth.
         assert engine.stats_dict()["counters"]["prefix_budget"] == 2048
 
     def test_prefix_budget_controller_settles_and_probes_down(self, heavy_workload):
@@ -358,7 +286,9 @@ class TestShardedMergeCounters:
         a batch that certifies entirely in round one must probe the budget
         one step *down* so over-gathering cannot become a fixed point.
         """
-        engine = self._sharded(PermutationFairSampler, heavy_workload)
+        engine = BatchQueryEngine.build(
+            _lsh(PermutationFairSampler, seed=21), heavy_workload["dataset"]
+        )
         queries = heavy_workload["dataset"][:25]
         engine.run(queries)
         cold_escalations = engine.stats.prefix_escalations
@@ -369,79 +299,25 @@ class TestShardedMergeCounters:
         # Whole batch certified in round one → the controller probes down.
         assert engine.stats_dict()["counters"]["prefix_budget"] == tuned // 2
 
-    def test_sharded_counters_are_deterministic(self, heavy_workload):
-        def serve(sampler_cls, seed):
-            engine = self._sharded(sampler_cls, heavy_workload, seed=seed)
+    @pytest.mark.parametrize(
+        "sampler_cls",
+        [IndependentFairSampler, StandardLSHSampler],
+        ids=["independent", "standard_lsh"],
+    )
+    def test_counters_are_deterministic(self, heavy_workload, sampler_cls, monkeypatch):
+        """Every counter is an exact function of a seeded workload — also
+        when the rankless standard-LSH fallback answers in parallel."""
+        from repro.engine import batch
+
+        monkeypatch.setattr(batch, "_ANSWER_WORKERS", 2)
+
+        def serve():
+            engine = BatchQueryEngine.build(
+                _lsh(sampler_cls, seed=23), heavy_workload["dataset"]
+            )
             engine.run([heavy_workload["query"]] * 5 + heavy_workload["dataset"][:15])
             engine.insert_many(heavy_workload["dataset"][:3])
             engine.run(heavy_workload["dataset"][10:20])
-            stats = engine.stats.to_dict()
-            return {key: stats[key] for key in _DETERMINISTIC_SHARDED_COUNTERS}
-
-        for sampler_cls in (IndependentFairSampler, PermutationFairSampler):
-            assert serve(sampler_cls, 23) == serve(sampler_cls, 23)
-
-    def test_process_executor_supervision_counters(self, heavy_workload):
-        """Clean serving through worker processes is restart- and replay-free.
-
-        A spurious ``worker_restarts`` here means the supervisor is killing or
-        losing healthy workers; a spurious ``mutations_replayed`` means replay
-        work is happening outside crash recovery.  Both would silently eat the
-        process executor's latency win, so they are pinned at zero.
-        """
-        engine = ProcessShardedEngine.build(
-            _lsh(PermutationFairSampler, seed=21), heavy_workload["dataset"], n_shards=4
-        )
-        try:
-            engine.run([heavy_workload["query"]] + heavy_workload["dataset"][:20])
-            engine.insert_many(heavy_workload["dataset"][:3])
-            engine.run(heavy_workload["dataset"][10:20])
-            stats = engine.stats.to_dict()
-            assert stats["worker_restarts"] == 0
-            assert stats["mutations_replayed"] == 0
-            # Both directions of the shard protocol actually carried frames.
-            assert stats["ipc_bytes_sent"] > 0
-            assert stats["ipc_bytes_received"] > 0
-        finally:
-            engine.close()
-
-    def test_process_executor_ipc_volume_is_deterministic(self, heavy_workload):
-        """IPC byte counts are an exact function of a seeded workload.
-
-        The framing protocol sends pickled query/mutation frames; a regression
-        that re-sends frames, pads payloads, or gathers from shards a query
-        never needed shows up as a byte-count drift between identical runs
-        long before it is measurable as latency.
-        """
-
-        def serve():
-            engine = ProcessShardedEngine.build(
-                _lsh(PermutationFairSampler, seed=23),
-                heavy_workload["dataset"],
-                n_shards=4,
-            )
-            try:
-                engine.run([heavy_workload["query"]] * 5 + heavy_workload["dataset"][:15])
-                engine.insert_many(heavy_workload["dataset"][:3])
-                engine.run(heavy_workload["dataset"][10:20])
-                stats = engine.stats.to_dict()
-            finally:
-                engine.close()
-            keys = _DETERMINISTIC_SHARDED_COUNTERS + (
-                "worker_restarts",
-                "mutations_replayed",
-                "ipc_bytes_sent",
-                "ipc_bytes_received",
-            )
-            return {key: stats[key] for key in keys}
+            return engine.stats.to_dict()
 
         assert serve() == serve()
-
-    def test_sharded_answers_match_unsharded(self, heavy_workload):
-        queries = [heavy_workload["query"]] + heavy_workload["dataset"][:15]
-        reference = BatchQueryEngine.build(
-            _lsh(PermutationFairSampler, seed=29), heavy_workload["dataset"]
-        ).run(queries)
-        sharded = self._sharded(PermutationFairSampler, heavy_workload, seed=29).run(queries)
-        assert [r.indices for r in reference] == [r.indices for r in sharded]
-        assert [r.stats for r in reference] == [r.stats for r in sharded]

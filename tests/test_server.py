@@ -4,9 +4,9 @@ Four serving guarantees are pinned down here:
 
 1. **Wire fidelity** — a ``POST /v1/sample_batch`` answered over HTTP is
    byte-identical to the same batch run directly through an in-process
-   :class:`~repro.api.FairNN` twin, for **every** registered sampler and
-   for sharded as well as unsharded serving (JSON float64 round-trips
-   exactly, and the server feeds the whole batch to one engine run).
+   :class:`~repro.api.FairNN` twin, for **every** registered sampler
+   (JSON float64 round-trips exactly, and the server feeds the whole batch
+   to one engine run).
 2. **Capacity accounting** — ``GET /v1/capacity`` stays consistent with
    inserts and deletes, and admission enforces the slot budget within the
    configured over-commit ratio (429 + ``Retry-After`` beyond it).
@@ -16,7 +16,8 @@ Four serving guarantees are pinned down here:
 4. **Hot swap** — an atomic snapshot swap under concurrent traffic never
    drops or corrupts an in-flight request: every hammered response is
    complete and byte-identical to the canonical answer, before, during and
-   after the v3 (unsharded) → v4 (sharded) flip; stale snapshots fail
+   after the flip from the served index to a format-v5 snapshot of the same
+   state; stale snapshots fail
    probe verification and the old index keeps serving.
 """
 
@@ -84,7 +85,7 @@ def _flavour_data(name, small_set_dataset, planted_unit_vectors):
 @pytest.fixture
 def serving_server(small_set_dataset, tmp_path):
     """A serving permutation facade behind HTTP, plus a client."""
-    nn = FairNN.from_spec(PERMUTATION_SPEC).serve(list(small_set_dataset), shards=None)
+    nn = FairNN.from_spec(PERMUTATION_SPEC).serve(list(small_set_dataset))
     with FairNNServer(nn) as server:
         yield server, FairNNClient(server.url)
 
@@ -145,12 +146,11 @@ class TestByteIdenticalServing:
             assert wire["found"] == response.found
             assert wire["stats"] == response.stats.to_dict()
 
-    @pytest.mark.parametrize("shards", [None, 2])
-    def test_http_serving_matches_direct_unsharded(self, shards, small_set_dataset):
-        """Sharded or not, the served answers equal the unsharded direct run."""
+    def test_http_k_draws_match_direct_run(self, small_set_dataset):
+        """Multi-draw answers served over HTTP equal a direct run's."""
         dataset = list(small_set_dataset)
         queries = dataset[:6]
-        served = FairNN.from_spec(PERMUTATION_SPEC).serve(dataset, shards=shards)
+        served = FairNN.from_spec(PERMUTATION_SPEC).serve(dataset)
         direct = FairNN.from_spec(PERMUTATION_SPEC).serve(dataset)
         with FairNNServer(served) as server:
             client = FairNNClient(server.url)
@@ -492,20 +492,19 @@ class TestHotSwap:
             assert excinfo.value.status == 400
 
     def test_swap_under_concurrent_traffic(self, small_set_dataset, tmp_path):
-        """The tentpole guarantee: a v3 -> v4 flip under load is invisible.
+        """The tentpole guarantee: a snapshot flip under load is invisible.
 
         Four hammer threads stream ``/v1/sample_batch`` while the main
-        thread swaps from the unsharded serving index to a sharded (v4)
-        snapshot of the same state.  The sampler is query-deterministic and
-        sharded answers are byte-identical to unsharded ones, so *every*
-        response — before, during, after the flip — must equal the
-        canonical answer; anything dropped, torn, or answered by a
-        half-closed engine would show up as a mismatch or an error.
+        thread swaps the serving index for a format-v5 snapshot of the same
+        state.  The sampler is query-deterministic, so *every* response —
+        before, during, after the flip — must equal the canonical answer;
+        anything dropped, torn, or answered by a half-closed engine would
+        show up as a mismatch or an error.
         """
         dataset = list(small_set_dataset)
         nn = FairNN.from_spec(PERMUTATION_SPEC).serve(dataset)
-        sharded_twin = FairNN.from_spec(PERMUTATION_SPEC).serve(dataset, shards=2)
-        sharded_twin.save(tmp_path / "v4")
+        twin = FairNN.from_spec(PERMUTATION_SPEC).serve(dataset)
+        twin.save(tmp_path / "v5", format_version=5)
         queries = dataset[:8]
         canonical = FairNN.from_spec(PERMUTATION_SPEC).serve(dataset).run(
             [QueryRequest(query=q, k=2, replacement=False) for q in queries]
@@ -537,7 +536,7 @@ class TestHotSwap:
             try:
                 while len(completed) < 4 and not errors and not mismatches:
                     time.sleep(0.005)  # until traffic is demonstrably flowing
-                report = client.swap(str(tmp_path / "v4"))
+                report = client.swap(str(tmp_path / "v5"))
                 assert report["status"] == "completed", report
                 # let traffic run on the new generation before stopping
                 flipped_floor = len(completed) + 8
@@ -552,7 +551,6 @@ class TestHotSwap:
             assert not mismatches, mismatches[:1]
             health = client.healthz()
             assert health["generation"] == 2
-            assert health["sharded"] is True and health["n_shards"] == 2
-            # post-flip: still byte-identical, now answered by shards
+            # post-flip: still byte-identical, now answered by the snapshot
             final = client.sample_batch(queries, k=2, replacement=False)
             assert [(r["indices"], r["value"]) for r in final["results"]] == expected

@@ -1,8 +1,7 @@
-"""Snapshot round-trips of degenerate serving states (formats v3 and v4).
+"""Snapshot round-trips of degenerate serving states.
 
 Production snapshots are taken whenever an operator asks, not when the index
-is in a photogenic state.  Three degenerate moments are pinned here for both
-the unsharded (v3) and sharded (v4) formats:
+is in a photogenic state.  Three degenerate moments are pinned here:
 
 * **zero live points** — everything deleted and swept; the artifact must
   load, answer ``⊥`` and accept fresh inserts;
@@ -16,7 +15,7 @@ the unsharded (v3) and sharded (v4) formats:
 Damaged artifacts are pinned too: a snapshot with missing, truncated or
 bit-rotted files must raise the typed
 :class:`~repro.exceptions.SnapshotCorruptError` (never a raw ``KeyError`` /
-``UnpicklingError`` / ``JSONDecodeError``), for both formats — recovery
+``UnpicklingError`` / ``JSONDecodeError``) — recovery
 (:meth:`FairNN.recover`) relies on the typed signal to fall back to an
 older checkpoint.
 """
@@ -29,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core import IndependentFairSampler, PermutationFairSampler
-from repro.engine import BatchQueryEngine, ShardedEngine, load_engine, save_engine
+from repro.engine import BatchQueryEngine, load_engine, save_engine
 from repro.exceptions import InvalidParameterError, SnapshotCorruptError
 from repro.lsh import MinHashFamily
 from repro.testing import flip_byte, tear_tail
@@ -45,10 +44,8 @@ def _dataset(seed=2, n=40):
     ]
 
 
-def _build(dataset, sharded, sampler_cls=PermutationFairSampler, seed=9):
+def _build(dataset, sampler_cls=PermutationFairSampler, seed=9):
     sampler = sampler_cls(MinHashFamily(), seed=seed, **PARAMS)
-    if sharded:
-        return ShardedEngine.build(sampler, dataset, n_shards=3)
     return BatchQueryEngine.build(sampler, dataset)
 
 
@@ -59,11 +56,10 @@ def _assert_identical_runs(left, right, queries):
         assert a.stats == b.stats
 
 
-@pytest.mark.parametrize("sharded", [False, True])
 class TestDegenerateSnapshots:
-    def test_zero_live_points_round_trip(self, sharded, tmp_path):
+    def test_zero_live_points_round_trip(self, tmp_path):
         dataset = _dataset()
-        engine = _build(dataset, sharded)
+        engine = _build(dataset)
         for index in range(len(dataset)):
             engine.delete(index)
         engine.tables.compact()
@@ -82,11 +78,11 @@ class TestDegenerateSnapshots:
         assert len(revived) == 3
         assert clone.run([dataset[0]])[0].found
 
-    def test_all_tombstoned_bucket_pending_round_trip(self, sharded, tmp_path):
+    def test_all_tombstoned_bucket_pending_round_trip(self, tmp_path):
         """Delete every member of the query's neighborhood but keep the
         sweep pending: bucket arrays still hold the dead references."""
         dataset = _dataset()
-        engine = _build(dataset, sharded)
+        engine = _build(dataset)
         query = dataset[0]
         colliding = [int(i) for i in engine.tables.query_candidates(query)]
         assert colliding
@@ -109,11 +105,11 @@ class TestDegenerateSnapshots:
         assert clone.tables.pending_tombstones == 0
         _assert_identical_runs(engine, clone, dataset[:8])
 
-    def test_mid_undrained_delta_round_trip(self, sharded, tmp_path):
+    def test_mid_undrained_delta_round_trip(self, tmp_path):
         """Mutations applied directly to the tables (engine not synced) must
         survive as a pending delta and reach the restored sampler."""
         dataset = _dataset()
-        engine = _build(dataset, sharded, sampler_cls=IndependentFairSampler)
+        engine = _build(dataset, sampler_cls=IndependentFairSampler)
         engine.run(dataset[:3])  # engine fully synced at this point
         tables = engine.tables
         tables.insert_many(dataset[:4])
@@ -134,79 +130,104 @@ class TestDegenerateSnapshots:
         clone._tables_dirty = False
         _assert_identical_runs(engine, clone, dataset[:8])
 
-    def test_empty_mutation_history_round_trip(self, sharded, tmp_path):
+    def test_empty_mutation_history_round_trip(self, tmp_path):
         dataset = _dataset()
-        engine = _build(dataset, sharded)
+        engine = _build(dataset)
         save_engine(engine, tmp_path / "snap")
         clone = load_engine(tmp_path / "snap")
         assert clone.tables.peek_delta().is_empty
         _assert_identical_runs(engine, clone, dataset[:10])
 
 
-@pytest.mark.parametrize("sharded", [False, True], ids=["v3", "v4"])
 class TestCorruptSnapshots:
     """Every flavour of on-disk damage surfaces as SnapshotCorruptError."""
 
-    def _snapshot(self, tmp_path, sharded):
-        engine = _build(_dataset(), sharded)
+    def _snapshot(self, tmp_path):
+        engine = _build(_dataset())
         save_engine(engine, tmp_path / "snap")
         return tmp_path / "snap"
 
     @pytest.mark.parametrize("victim", ["manifest.json", "arrays.npz", "objects.pkl"])
-    def test_missing_file(self, sharded, tmp_path, victim):
-        snap = self._snapshot(tmp_path, sharded)
+    def test_missing_file(self, tmp_path, victim):
+        snap = self._snapshot(tmp_path)
         (snap / victim).unlink()
         with pytest.raises(SnapshotCorruptError):
             load_engine(snap)
 
     @pytest.mark.parametrize("victim", ["arrays.npz", "objects.pkl"])
-    def test_truncated_file(self, sharded, tmp_path, victim):
-        snap = self._snapshot(tmp_path, sharded)
+    def test_truncated_file(self, tmp_path, victim):
+        snap = self._snapshot(tmp_path)
         size = (snap / victim).stat().st_size
         tear_tail(snap / victim, size // 2)
         with pytest.raises(SnapshotCorruptError):
             load_engine(snap)
 
-    def test_unparseable_manifest(self, sharded, tmp_path):
-        snap = self._snapshot(tmp_path, sharded)
+    def test_unparseable_manifest(self, tmp_path):
+        snap = self._snapshot(tmp_path)
         (snap / "manifest.json").write_text("{not json")
         with pytest.raises(SnapshotCorruptError):
             load_engine(snap)
 
-    def test_manifest_missing_keys(self, sharded, tmp_path):
-        snap = self._snapshot(tmp_path, sharded)
+    def test_manifest_missing_keys(self, tmp_path):
+        snap = self._snapshot(tmp_path)
         (snap / "manifest.json").write_text(json.dumps({"format_version": 3}))
         with pytest.raises(SnapshotCorruptError):
             load_engine(snap)
 
-    def test_bit_rot_in_objects(self, sharded, tmp_path):
-        snap = self._snapshot(tmp_path, sharded)
+    def test_bit_rot_in_objects(self, tmp_path):
+        snap = self._snapshot(tmp_path)
         # The pickle opcode stream starts at the front; rot it there so
         # unpickling fails structurally rather than by luck.
         flip_byte(snap / "objects.pkl", 1)
         with pytest.raises(SnapshotCorruptError):
             load_engine(snap)
 
-    def test_error_is_typed_and_chained(self, sharded, tmp_path):
-        snap = self._snapshot(tmp_path, sharded)
+    def test_error_is_typed_and_chained(self, tmp_path):
+        snap = self._snapshot(tmp_path)
         (snap / "arrays.npz").unlink()
         with pytest.raises(SnapshotCorruptError) as excinfo:
             load_engine(snap)
         assert excinfo.value.__cause__ is not None
         assert str(snap) in str(excinfo.value)
 
-    def test_unsupported_version_stays_invalid_parameter(self, sharded, tmp_path):
+    def test_unsupported_version_stays_invalid_parameter(self, tmp_path):
         """A *well-formed* snapshot from the future is a usage error, not
         corruption — recovery must not silently fall back past it."""
-        snap = self._snapshot(tmp_path, sharded)
+        snap = self._snapshot(tmp_path)
         manifest = json.loads((snap / "manifest.json").read_text())
         manifest["format_version"] = 999
         (snap / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(InvalidParameterError):
             load_engine(snap)
 
-    def test_intact_snapshot_still_loads(self, sharded, tmp_path):
-        engine = _build(_dataset(), sharded)
+    def test_intact_snapshot_still_loads(self, tmp_path):
+        engine = _build(_dataset())
         save_engine(engine, tmp_path / "snap")
         clone = load_engine(tmp_path / "snap")
         _assert_identical_runs(engine, clone, _dataset()[:6])
+
+
+class TestSnapshotFormats:
+    def test_engines_write_v3_by_default(self, tmp_path):
+        engine = _build(_dataset())
+        save_engine(engine, tmp_path / "snap")
+        manifest = json.loads((tmp_path / "snap" / "manifest.json").read_text())
+        assert manifest["format_version"] == 3
+        assert isinstance(load_engine(tmp_path / "snap"), BatchQueryEngine)
+
+    @pytest.mark.parametrize(
+        "edit", [{"format_version": 4}, {"sharded": True}], ids=["v4", "v5-sharded"]
+    )
+    def test_sharded_snapshots_are_refused_by_name(self, tmp_path, edit):
+        """Table sharding is gone: its snapshots are refused with a typed
+        error naming the format, before any array or pickle is read."""
+        engine = _build(_dataset())
+        save_engine(engine, tmp_path / "snap", format_version=5)
+        assert load_engine(tmp_path / "snap").num_live_points == engine.num_live_points
+        manifest_path = tmp_path / "snap" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(edit)
+        manifest_path.write_text(json.dumps(manifest))
+        (tmp_path / "snap" / "objects.pkl").unlink()  # never reached
+        with pytest.raises(InvalidParameterError, match=r"format \d \(sharded\)"):
+            load_engine(tmp_path / "snap")

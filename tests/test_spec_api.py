@@ -239,6 +239,18 @@ class TestSpecRoundTrip:
         with pytest.raises(InvalidParameterError, match="fsync"):
             EngineSpec(samplers={"a": fair}, wal_fsync="sometimes")
 
+    def test_engine_spec_loads_legacy_shard_keys_only_at_defaults(self):
+        """Spec dicts persisted while table sharding existed still carry its
+        three keys; the unsharded defaults load, anything else is refused."""
+        fair = CANONICAL_SPECS["permutation"][0]
+        spec = EngineSpec(samplers={"a": fair})
+        legacy = {**spec.to_dict(), "n_shards": 1, "placement": "round_robin", "executor": "thread"}
+        assert EngineSpec.from_dict(legacy) == spec
+        assert "n_shards" not in spec.to_dict()
+        for key, value in (("n_shards", 2), ("executor", "process"), ("placement", "hash")):
+            with pytest.raises(InvalidParameterError, match=key):
+                EngineSpec.from_dict({**spec.to_dict(), key: value})
+
     def test_spec_from_dict_dispatch(self):
         assert isinstance(spec_from_dict({"name": "jaccard"}), DistanceSpec)
         assert isinstance(spec_from_dict({"family": "minhash"}), LSHSpec)
