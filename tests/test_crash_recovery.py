@@ -99,7 +99,9 @@ def _assert_byte_identical(left, right, queries):
 # The core property: random history x random kill point
 # ----------------------------------------------------------------------
 class TestRandomKillPoint:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    # The ids keep the names these cases had while sharded executors ran
+    # beside the unsharded engine.
+    @pytest.mark.parametrize("seed", [0, 1, 2], ids=lambda seed: f"unsharded-{seed}")
     def test_recovery_is_byte_identical(self, seed, tmp_path):
         rng = np.random.default_rng(100 + seed)
         dataset = _dataset(seed=seed)

@@ -1,7 +1,8 @@
 """Snapshot round-trips of degenerate serving states.
 
 Production snapshots are taken whenever an operator asks, not when the index
-is in a photogenic state.  Three degenerate moments are pinned here:
+is in a photogenic state.  Three degenerate moments are pinned here for both
+the zipped (v3) and raw-``.npy`` (v5) formats:
 
 * **zero live points** — everything deleted and swept; the artifact must
   load, answer ``⊥`` and accept fresh inserts;
@@ -49,6 +50,10 @@ def _build(dataset, sampler_cls=PermutationFairSampler, seed=9):
     return BatchQueryEngine.build(sampler, dataset)
 
 
+def _save(engine, directory, npy):
+    save_engine(engine, directory, format_version=5 if npy else 3)
+
+
 def _assert_identical_runs(left, right, queries):
     for a, b in zip(left.run(queries), right.run(queries)):
         assert a.indices == b.indices
@@ -56,8 +61,9 @@ def _assert_identical_runs(left, right, queries):
         assert a.stats == b.stats
 
 
+@pytest.mark.parametrize("npy", [False, True])
 class TestDegenerateSnapshots:
-    def test_zero_live_points_round_trip(self, tmp_path):
+    def test_zero_live_points_round_trip(self, npy, tmp_path):
         dataset = _dataset()
         engine = _build(dataset)
         for index in range(len(dataset)):
@@ -65,7 +71,7 @@ class TestDegenerateSnapshots:
         engine.tables.compact()
         assert engine.num_live_points == 0
 
-        save_engine(engine, tmp_path / "snap")
+        _save(engine, tmp_path / "snap", npy)
         clone = load_engine(tmp_path / "snap")
         assert clone.num_live_points == 0
         assert type(clone) is type(engine)
@@ -78,7 +84,7 @@ class TestDegenerateSnapshots:
         assert len(revived) == 3
         assert clone.run([dataset[0]])[0].found
 
-    def test_all_tombstoned_bucket_pending_round_trip(self, tmp_path):
+    def test_all_tombstoned_bucket_pending_round_trip(self, npy, tmp_path):
         """Delete every member of the query's neighborhood but keep the
         sweep pending: bucket arrays still hold the dead references."""
         dataset = _dataset()
@@ -93,7 +99,7 @@ class TestDegenerateSnapshots:
             engine.delete(index)
         assert engine.tables.pending_tombstones > 0
 
-        save_engine(engine, tmp_path / "snap")
+        _save(engine, tmp_path / "snap", npy)
         clone = load_engine(tmp_path / "snap")
         assert clone.tables.pending_tombstones == engine.tables.pending_tombstones
         for index in doomed:
@@ -105,7 +111,7 @@ class TestDegenerateSnapshots:
         assert clone.tables.pending_tombstones == 0
         _assert_identical_runs(engine, clone, dataset[:8])
 
-    def test_mid_undrained_delta_round_trip(self, tmp_path):
+    def test_mid_undrained_delta_round_trip(self, npy, tmp_path):
         """Mutations applied directly to the tables (engine not synced) must
         survive as a pending delta and reach the restored sampler."""
         dataset = _dataset()
@@ -116,7 +122,7 @@ class TestDegenerateSnapshots:
         tables.delete(1)
         assert not tables.peek_delta().is_empty
 
-        save_engine(engine, tmp_path / "snap")
+        _save(engine, tmp_path / "snap", npy)
         clone = load_engine(tmp_path / "snap")
         restored = clone.tables.peek_delta()
         assert not restored.is_empty
@@ -130,79 +136,80 @@ class TestDegenerateSnapshots:
         clone._tables_dirty = False
         _assert_identical_runs(engine, clone, dataset[:8])
 
-    def test_empty_mutation_history_round_trip(self, tmp_path):
+    def test_empty_mutation_history_round_trip(self, npy, tmp_path):
         dataset = _dataset()
         engine = _build(dataset)
-        save_engine(engine, tmp_path / "snap")
+        _save(engine, tmp_path / "snap", npy)
         clone = load_engine(tmp_path / "snap")
         assert clone.tables.peek_delta().is_empty
         _assert_identical_runs(engine, clone, dataset[:10])
 
 
+@pytest.mark.parametrize("format_version", [3], ids=["v3"])
 class TestCorruptSnapshots:
     """Every flavour of on-disk damage surfaces as SnapshotCorruptError."""
 
-    def _snapshot(self, tmp_path):
+    def _snapshot(self, tmp_path, format_version):
         engine = _build(_dataset())
-        save_engine(engine, tmp_path / "snap")
+        save_engine(engine, tmp_path / "snap", format_version=format_version)
         return tmp_path / "snap"
 
     @pytest.mark.parametrize("victim", ["manifest.json", "arrays.npz", "objects.pkl"])
-    def test_missing_file(self, tmp_path, victim):
-        snap = self._snapshot(tmp_path)
+    def test_missing_file(self, format_version, tmp_path, victim):
+        snap = self._snapshot(tmp_path, format_version)
         (snap / victim).unlink()
         with pytest.raises(SnapshotCorruptError):
             load_engine(snap)
 
     @pytest.mark.parametrize("victim", ["arrays.npz", "objects.pkl"])
-    def test_truncated_file(self, tmp_path, victim):
-        snap = self._snapshot(tmp_path)
+    def test_truncated_file(self, format_version, tmp_path, victim):
+        snap = self._snapshot(tmp_path, format_version)
         size = (snap / victim).stat().st_size
         tear_tail(snap / victim, size // 2)
         with pytest.raises(SnapshotCorruptError):
             load_engine(snap)
 
-    def test_unparseable_manifest(self, tmp_path):
-        snap = self._snapshot(tmp_path)
+    def test_unparseable_manifest(self, format_version, tmp_path):
+        snap = self._snapshot(tmp_path, format_version)
         (snap / "manifest.json").write_text("{not json")
         with pytest.raises(SnapshotCorruptError):
             load_engine(snap)
 
-    def test_manifest_missing_keys(self, tmp_path):
-        snap = self._snapshot(tmp_path)
+    def test_manifest_missing_keys(self, format_version, tmp_path):
+        snap = self._snapshot(tmp_path, format_version)
         (snap / "manifest.json").write_text(json.dumps({"format_version": 3}))
         with pytest.raises(SnapshotCorruptError):
             load_engine(snap)
 
-    def test_bit_rot_in_objects(self, tmp_path):
-        snap = self._snapshot(tmp_path)
+    def test_bit_rot_in_objects(self, format_version, tmp_path):
+        snap = self._snapshot(tmp_path, format_version)
         # The pickle opcode stream starts at the front; rot it there so
         # unpickling fails structurally rather than by luck.
         flip_byte(snap / "objects.pkl", 1)
         with pytest.raises(SnapshotCorruptError):
             load_engine(snap)
 
-    def test_error_is_typed_and_chained(self, tmp_path):
-        snap = self._snapshot(tmp_path)
+    def test_error_is_typed_and_chained(self, format_version, tmp_path):
+        snap = self._snapshot(tmp_path, format_version)
         (snap / "arrays.npz").unlink()
         with pytest.raises(SnapshotCorruptError) as excinfo:
             load_engine(snap)
         assert excinfo.value.__cause__ is not None
         assert str(snap) in str(excinfo.value)
 
-    def test_unsupported_version_stays_invalid_parameter(self, tmp_path):
+    def test_unsupported_version_stays_invalid_parameter(self, format_version, tmp_path):
         """A *well-formed* snapshot from the future is a usage error, not
         corruption — recovery must not silently fall back past it."""
-        snap = self._snapshot(tmp_path)
+        snap = self._snapshot(tmp_path, format_version)
         manifest = json.loads((snap / "manifest.json").read_text())
         manifest["format_version"] = 999
         (snap / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(InvalidParameterError):
             load_engine(snap)
 
-    def test_intact_snapshot_still_loads(self, tmp_path):
+    def test_intact_snapshot_still_loads(self, format_version, tmp_path):
         engine = _build(_dataset())
-        save_engine(engine, tmp_path / "snap")
+        save_engine(engine, tmp_path / "snap", format_version=format_version)
         clone = load_engine(tmp_path / "snap")
         _assert_identical_runs(engine, clone, _dataset()[:6])
 
