@@ -16,11 +16,6 @@ Two claims of the engine layer are quantified here and persisted to
 * **Online mutation beats refitting.**  Applying a 30% churn (deletes +
   inserts) through ``DynamicLSHTables`` must be faster than even the
   laziest offline alternative — one full ``fit`` over the final dataset.
-* **Incremental sketch maintenance beats the full rebuild.**  For the
-  Section 4 sampler, folding an insert-only mutation batch into the
-  affected bucket sketches (``O(batch x L)`` via the ``MutationDelta``)
-  must be at least 5x faster than rebuilding every bucket sketch
-  (``O(total bucket refs)``) at 100k indexed points and a 1% batch.
 """
 
 from __future__ import annotations
@@ -30,9 +25,9 @@ import time
 import numpy as np
 
 from benchmarks.conftest import write_result, write_result_json
-from repro.core import IndependentFairSampler, PermutationFairSampler
+from repro.core import PermutationFairSampler
 from repro.engine import BatchQueryEngine
-from repro.lsh import LSHTables, MinHashFamily, OneBitMinHashFamily
+from repro.lsh import LSHTables, MinHashFamily
 
 RADIUS = 0.2
 FAR = 0.1
@@ -155,87 +150,3 @@ def test_dynamic_churn_vs_full_refit(small_lastfm):
     for response in responses:
         if response.found:
             assert alive[response.index]
-
-
-def test_incremental_sketch_maintenance_vs_full_rebuild():
-    """Tentpole acceptance (PR 2): on an insert-only mutation batch over a
-    100k-point index, the Section 4 sampler's incremental ``_after_update``
-    (merge the batch into the ``L`` affected bucket sketches, driven by the
-    ``MutationDelta``) must be at least 5x faster than the pre-incremental
-    behaviour of rebuilding every bucket sketch from scratch.
-
-    1-bit MinHash with K=8 keeps the per-table key space at 256, so the
-    index stores large, all-sketched buckets — the regime where sketch
-    upkeep dominates and the full rebuild's O(total bucket refs) hurts.
-    """
-    rng = np.random.default_rng(42)
-    n, batch = 100_000, 1_000
-    items = rng.integers(0, 50_000, size=(n + batch, 8))
-    dataset = [frozenset(int(x) for x in row) for row in items[:n]]
-    batch_points = [frozenset(int(x) for x in row) for row in items[n:]]
-
-    sampler = IndependentFairSampler(
-        OneBitMinHashFamily(),
-        radius=0.2,
-        far_radius=0.05,
-        num_hashes=8,
-        num_tables=10,
-        seed=5,
-    )
-    engine = BatchQueryEngine.build(sampler, dataset, seed=5)
-    stored_refs = engine.tables.total_stored_references()
-    sketched = sum(len(s) for s in sampler._bucket_sketches)
-
-    probe = dataset[0]
-    estimate_before = sampler.estimate_colliding_count(probe)
-
-    engine.insert_many(batch_points)
-    # Incremental path: drain the MutationDelta, merge the batch into the
-    # affected sketches (O(batch x L)).
-    _, incremental_time = _timed(sampler.notify_update)
-    engine._tables_dirty = False
-    estimate_incremental = sampler.estimate_colliding_count(probe)
-
-    # The pre-incremental path: compact and re-sketch every bucket
-    # (O(total bucket refs)) over exactly the same final tables.
-    _, rebuild_time = _timed(lambda: sampler._after_update(None))
-    estimate_rebuilt = sampler.estimate_colliding_count(probe)
-
-    speedup = rebuild_time / incremental_time
-    write_result(
-        "engine_incremental_sketches",
-        "\n".join(
-            [
-                f"index: {n} points, {engine.tables.num_tables} tables, "
-                f"{stored_refs} stored refs, {sketched} sketched buckets",
-                f"insert-only mutation batch: {batch} points (1%)",
-                f"incremental _after_update (delta merge): {incremental_time * 1000:8.1f}ms",
-                f"full sketch rebuild (pre-incremental):   {rebuild_time * 1000:8.1f}ms",
-                f"speedup: {speedup:.1f}x",
-                f"colliding-count estimate for a fixed probe: "
-                f"{estimate_before:.0f} before batch, "
-                f"{estimate_incremental:.0f} incremental, "
-                f"{estimate_rebuilt:.0f} rebuilt",
-            ]
-        ),
-    )
-    write_result_json(
-        "engine_incremental_sketches",
-        {
-            "index_points": n,
-            "mutation_batch": batch,
-            "tables": engine.tables.num_tables,
-            "stored_references": int(stored_refs),
-            "sketched_buckets": int(sketched),
-            "wall_ms_incremental": round(incremental_time * 1000, 3),
-            "wall_ms_full_rebuild": round(rebuild_time * 1000, 3),
-            "speedup": round(speedup, 2),
-            "estimate_before": round(estimate_before, 1),
-            "estimate_incremental": round(estimate_incremental, 1),
-            "estimate_rebuilt": round(estimate_rebuilt, 1),
-        },
-    )
-    assert speedup >= 5.0
-    # The incremental estimate must agree with the rebuilt one (different
-    # hash draws, same data): generous 30% envelope on a ~4000-point count.
-    assert abs(estimate_incremental - estimate_rebuilt) <= 0.3 * estimate_rebuilt

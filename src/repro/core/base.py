@@ -197,13 +197,6 @@ class LSHNeighborSampler(NeighborSampler):
     #: Samplers that index arrays by rank value must set this False.
     supports_dynamic_ranks: bool = True
 
-    #: Whether this sampler's :meth:`_after_update` consumes the structured
-    #: :class:`~repro.engine.dynamic.MutationDelta`.  Samplers with derived
-    #: per-bucket state set this True; for everyone else ``notify_update``
-    #: discards the record unresolved, skipping the per-batch hashing and
-    #: grouping that resolution costs.
-    consumes_mutation_deltas: bool = False
-
     def __init__(
         self,
         family: LSHFamily,
@@ -332,13 +325,13 @@ class LSHNeighborSampler(NeighborSampler):
         # left untouched so a later plain fit() still auto-selects (K, L).
         self.params = self._attached_parameters(n)
         self._store_dataset(dataset)
-        # _after_fit rebuilds all derived state from the tables as they are
-        # now: any still-undrained mutation record predates that rebuild, so
-        # it is discarded (unresolved — cheap) and the sampler starts
-        # epoch-aligned instead of paying a second full rebuild on its first
-        # sync.  A previously attached sampler loses the record too, but its
-        # epoch check detects that and falls back to a rebuild of its own.
-        tables.discard_delta()
+        # _after_fit derives all state from the tables as they are now: any
+        # still-undrained mutation record predates it, so it is dropped and
+        # the sampler starts epoch-aligned instead of rebuilding again on its
+        # first sync.  A previously attached sampler loses the record too,
+        # but its epoch check detects that and falls back to a rebuild of
+        # its own.
+        tables.drain_delta()
         self._synced_epoch = getattr(tables, "mutation_epoch", 0)
         self._after_fit()
         return self
@@ -363,20 +356,17 @@ class LSHNeighborSampler(NeighborSampler):
 
         Refreshes the views that go stale when the table layer grows its
         arrays, recomputes the parameter record for the new ``n``, drains the
-        table layer's structured :class:`~repro.engine.dynamic.MutationDelta`
-        and hands it to :meth:`_after_update` so subclasses can maintain
-        derived per-bucket state incrementally.  Tables that do not track
-        deltas report ``None``, which subclasses must treat as "anything may
-        have changed" (full rebuild).
+        table layer's :class:`~repro.engine.dynamic.MutationDelta` and hands
+        it to :meth:`_after_update`.  Tables that do not track deltas report
+        ``None``, which subclasses must treat as "anything may have changed"
+        (full rebuild).
 
         The delta is drained (single-consumer).  Samplers track the table
         layer's mutation epoch and compare it with the drained record's
         ``start_epoch``, so a sampler that missed an earlier record (it went
         to a different consumer — two samplers attached to one table set)
         detects the gap, receives ``None`` and rebuilds in full instead of
-        silently applying only the tail of the mutation history.  Samplers
-        that declare :attr:`consumes_mutation_deltas` False skip the drain
-        (and its resolution cost) entirely; the record is discarded.
+        acting on only the tail of the mutation history.
         """
         self._check_fitted()
         self.ranks = self.tables.ranks if self._use_ranks else None
@@ -385,15 +375,11 @@ class LSHNeighborSampler(NeighborSampler):
         # (expected far collisions etc.) should describe the latter.
         self.params = self._attached_parameters(max(1, self.tables.num_live))
         epoch = getattr(self.tables, "mutation_epoch", 0)
-        if self.consumes_mutation_deltas:
-            delta = self.tables.drain_delta()
-            if delta is not None and delta.start_epoch != self._synced_epoch:
-                # Mutations between our last sync and this record's start
-                # were drained by another consumer; without their record,
-                # only a full rebuild is safe.
-                delta = None
-        else:
-            self.tables.discard_delta()
+        delta = self.tables.drain_delta()
+        if delta is not None and delta.start_epoch != self._synced_epoch:
+            # Mutations between our last sync and this record's start were
+            # drained by another consumer; without their record, only a full
+            # rebuild is safe.
             delta = None
         self._synced_epoch = epoch
         self._after_update(delta)
@@ -488,7 +474,8 @@ class LSHNeighborSampler(NeighborSampler):
         The heavy references (tables, dataset, rank view) are nulled — the
         snapshot layer persists them as arrays and re-binds them on load.
         Subclasses drop rebuildable per-query caches here too; state needed
-        for bit-identical post-load behaviour (RNG streams, sketches) stays.
+        for bit-identical post-load behaviour (RNG streams, the Section 4
+        sketcher) stays.
         """
         clone = copy.copy(self)
         clone.tables = None
@@ -503,17 +490,16 @@ class LSHNeighborSampler(NeighborSampler):
     def _after_update(self, delta=None) -> None:
         """Hook invoked by :meth:`notify_update`; default is a no-op.
 
-        Subclasses that cache per-bucket derivatives (e.g. the Section 4
-        count-distinct sketches) must bring them up to date here.
+        Subclasses that derive state from the tables (e.g. the Section 4
+        sketch hash functions) bring it up to date here.
 
         Parameters
         ----------
         delta:
             The :class:`~repro.engine.dynamic.MutationDelta` drained from the
-            table layer, naming exactly which buckets changed and how —
-            subclasses should use it to update only the affected state.
-            ``None`` means the tables reported no structured delta; the only
-            safe response is a full rebuild of all derived state.
+            table layer.  ``None`` means the tables reported no delta, or an
+            epoch gap; the only safe response is a full rebuild of all
+            derived state.
         """
 
     # ------------------------------------------------------------------

@@ -3,9 +3,12 @@
 The structure keeps the Section 3 layout (LSH tables whose buckets are sorted
 by a random rank permutation) and adds two ingredients:
 
-* every bucket carries a mergeable count-distinct sketch of its members, so a
-  query can estimate ``s_q = |S_q|``, the number of distinct points colliding
-  with it, by merging the ``L`` bucket sketches;
+* a count-distinct estimate of ``s_q = |S_q|``, the number of distinct points
+  colliding with the query.  The paper merges bottom-t sketches stored with
+  each of the ``L`` colliding buckets; since bottom-t sketches merge exactly,
+  that equals one bottom-t sketch of the distinct colliding points, which
+  this implementation computes from the colliding view every query gathers
+  anyway — so no per-bucket sketch is stored or maintained under churn;
 * instead of returning the minimum-rank near point (which is deterministic
   given the permutation), the query splits the rank space into ``k`` equal
   segments, repeatedly picks a segment uniformly at random, retrieves the
@@ -21,18 +24,15 @@ with high probability) and is halved every ``Sigma = Theta(log^2 n)``
 unsuccessful rounds, which keeps the expected query time at
 ``O~(n^rho + b(q, cr) / (b(q, r) + 1))``.
 
-Served over :class:`~repro.engine.dynamic.DynamicLSHTables`, the per-bucket
-sketches are maintained *incrementally*: each mutation batch's
-:class:`~repro.engine.dynamic.MutationDelta` is folded into only the
-affected bucket sketches (inserts merge, deletions trigger a targeted
-per-bucket rebuild), so sketch upkeep costs ``O(batch x L)`` instead of the
-``O(total bucket refs)`` a full rebuild would — see :meth:`_after_update`.
+The sketch hash functions are drawn from the permutation stream, at fit or
+attach time and again whenever :meth:`IndependentFairSampler._after_update`
+decides the tables changed beyond what the current draw covers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, Optional
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.exceptions import InvalidParameterError
 from repro.lsh.family import LSHFamily
 from repro.lsh.tables import point_digest
 from repro.rng import SeedLike
-from repro.sketches.kmv import BottomTSketch, DistinctCountSketcher
+from repro.sketches.kmv import DistinctCountSketcher
 from repro.types import Point
 from repro.registry import register_sampler
 
@@ -52,11 +52,6 @@ from repro.registry import register_sampler
 class IndependentFairSampler(LSHNeighborSampler):
     """The Section 4 r-NNIS data structure.
 
-    The per-bucket sketches are derived state, so this sampler opts into
-    structured mutation deltas (see
-    :attr:`~repro.core.base.LSHNeighborSampler.consumes_mutation_deltas`)
-    and maintains the sketches incrementally under churn.
-
     Extra parameters beyond :class:`~repro.core.base.LSHNeighborSampler`:
 
     lambda_factor, sigma_factor:
@@ -64,17 +59,11 @@ class IndependentFairSampler(LSHNeighborSampler):
         point budget) and ``Sigma = sigma_factor * log2(n)^2`` (rounds before
         halving ``k``).
     sketch_epsilon, sketch_delta:
-        Accuracy of the per-bucket count-distinct sketches; the paper uses
+        Accuracy of the count-distinct estimate of ``s_q``; the paper uses
         ``epsilon = 1/2`` and a polynomially small ``delta``.
-    sketch_min_bucket:
-        Buckets smaller than this store no sketch; their contribution to the
-        colliding-count estimate is computed exactly at query time (this is
-        the paper's space optimisation for tiny buckets).
     max_rounds:
         Hard safety cap on the total number of rejection rounds.
     """
-
-    consumes_mutation_deltas = True
 
     def __init__(
         self,
@@ -89,7 +78,6 @@ class IndependentFairSampler(LSHNeighborSampler):
         sigma_factor: float = 1.0,
         sketch_epsilon: float = 0.5,
         sketch_delta: float = 0.01,
-        sketch_min_bucket: int = 16,
         max_rounds: int = 100_000,
         seed: SeedLike = None,
     ):
@@ -112,21 +100,25 @@ class IndependentFairSampler(LSHNeighborSampler):
         self.sigma_factor = float(sigma_factor)
         self.sketch_epsilon = float(sketch_epsilon)
         self.sketch_delta = float(sketch_delta)
-        self.sketch_min_bucket = int(sketch_min_bucket)
         self.max_rounds = int(max_rounds)
         self._sketcher: Optional[DistinctCountSketcher] = None
-        # per table: bucket key -> sketch (only for buckets above the size cutoff)
-        self._bucket_sketches: List[Dict[Hashable, BottomTSketch]] = []
         # Caches keyed by a hashable digest of the query.  Both cached values
-        # (the merged sketch estimate and the rank-sorted view of the
+        # (the colliding-count estimate and the rank-sorted view of the
         # colliding points) are deterministic functions of the query and the
         # construction randomness, so caching them does not affect the output
-        # distribution; it avoids re-merging L sketches and re-concatenating
-        # L buckets when the same query is repeated (the common case in
-        # fairness audits).
+        # distribution; it avoids re-gathering L buckets and re-sketching
+        # when the same query is repeated (the common case in fairness
+        # audits).
         self._estimate_cache: Dict[Hashable, float] = {}
         self._view_cache: Dict[Hashable, tuple] = {}
         self._cache_limit = 1024
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots written while a sketch was stored per bucket still carry
+        # those sketches and their size cutoff; nothing reads either.
+        state.pop("_bucket_sketches", None)
+        state.pop("sketch_min_bucket", None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Construction
@@ -136,120 +128,47 @@ class IndependentFairSampler(LSHNeighborSampler):
         # cached estimates/views describe the old tables and must go.
         self._estimate_cache.clear()
         self._view_cache.clear()
-        n = self.num_points
         self._sketcher = DistinctCountSketcher(
-            universe_size=n,
+            universe_size=self.num_points,
             epsilon=self.sketch_epsilon,
             delta=self.sketch_delta,
             seed=self._perm_rng,
         )
-        # Through _refresh_bucket_sketches so that attach()ing to dynamic
-        # tables with tombstones still awaiting compaction never bakes dead
-        # members into a sketch.
-        self._bucket_sketches = [{} for _ in self.tables._tables]
-        self._refresh_bucket_sketches(
-            [
-                (table, sketches, key)
-                for table, sketches in zip(self.tables._tables, self._bucket_sketches)
-                for key in table
-            ]
-        )
 
     def _after_update(self, delta=None) -> None:
-        """Attached tables mutated: bring the per-bucket sketches up to date.
+        """Attached tables mutated: drop the per-query caches, redraw if due.
 
-        With a structured :class:`~repro.engine.dynamic.MutationDelta` the
-        work is proportional to the batch, not the index: inserted members
-        are folded into the ``L`` affected bucket sketches with
-        :meth:`~repro.sketches.kmv.BottomTSketch.add_keys` (sketches are
-        union-closed, so merging is exact), buckets whose live size crosses
-        ``sketch_min_bucket`` are promoted to a stored sketch, and only the
-        buckets that saw deletions or a compaction sweep fall back to a
-        targeted rebuild — a tombstone cannot be subtracted from a sketch.
-        Buckets that shrink below ``sketch_min_bucket`` drop their sketch
-        (keeping it would over-count forever; the exact small-bucket path
-        takes over).  The serving engine coalesces updates so this runs once
-        per mutation batch, not once per mutation.
+        The sketch hash functions come from ``_perm_rng``, so a redraw moves
+        every later answer; it happens exactly when
 
-        Without a delta (``None`` — the tables do not track mutations) every
-        sketch is rebuilt from compacted buckets, the pre-incremental
-        behaviour.
+        * *delta* is ``None``: the tables keep no record (static tables), or
+          :meth:`~repro.core.base.LSHNeighborSampler.notify_update` found an
+          epoch gap (another consumer drained part of the history);
+        * the record ``overflowed`` (nothing drained it for too long);
+        * the slot count exceeds 4x the sketcher's universe.  The hash range
+          is sized off the universe, and keys colliding in a too-small range
+          make the estimate under-count; the next redraw is another 4x away,
+          so this is amortized O(1) per insert.  Sketchers unpickled from
+          pre-v2 snapshots lack ``universe_size``; the 0 default redraws
+          them.
         """
-        # A full rebuild also re-draws the sketcher for the current n, so the
-        # sketch hash range tracks the index size.  The incremental path must
-        # not outgrow the fit-time range indefinitely (keys colliding in a
-        # too-small range make sketches under-count): once the slot count
-        # exceeds the sketcher's universe with 4x headroom, fall back to one
-        # full rebuild — amortized O(1) per insert, since the next fallback
-        # is another 4x away.  getattr: sketchers unpickled from pre-v2
-        # snapshots lack the attribute, and the 0 default routes them into
-        # the same rebuild (which re-draws a modern sketcher).
         if (
             delta is None
             or delta.overflowed
             or self.tables.num_points > 4 * getattr(self._sketcher, "universe_size", 0)
         ):
+            # A redraw starts from clean buckets, as a fit does.  The sweep
+            # it forces is part of the redraw: drop its record and re-anchor,
+            # so the next sync does not see it as news.
             self.tables.ensure_clean_buckets()
             self._after_fit()
-            # The rebuild reflects everything up to and including the
-            # compaction it just forced — whose sweep record landed in the
-            # tables' fresh delta.  Drop that residue and re-anchor, or the
-            # next sync would redundantly re-sketch every swept bucket.
-            self.tables.discard_delta()
+            self.tables.drain_delta()
             self._synced_epoch = getattr(self.tables, "mutation_epoch", 0)
             return
         # Cached estimates and candidate views may describe pre-mutation
-        # tables; drop them even for an empty delta — they are cheap to
-        # rebuild and notify_update only fires when something mutated.
+        # tables; notify_update only fires when something mutated.
         self._estimate_cache.clear()
         self._view_cache.clear()
-        if delta.is_empty:
-            return
-        refresh = []
-        fold_sketches, fold_groups = [], []
-        for table_index, table in enumerate(self.tables._tables):
-            sketches = self._bucket_sketches[table_index]
-            rebuild_keys = delta.rebuild_keys(table_index)
-            refresh.extend((table, sketches, key) for key in rebuild_keys)
-            for key, members in delta.inserted_members[table_index].items():
-                if key in rebuild_keys:
-                    continue  # rebuilt from the current live members below
-                sketch = sketches.get(key)
-                if sketch is not None:
-                    fold_sketches.append(sketch)
-                    fold_groups.append(members)
-                else:
-                    # No stored sketch: the bucket was small before the batch;
-                    # promote it if the inserts pushed it past the cutoff.
-                    refresh.append((table, sketches, key))
-        self._sketcher.fold_keys(fold_sketches, fold_groups)
-        self._refresh_bucket_sketches(refresh)
-
-    def _refresh_bucket_sketches(self, targets: List[tuple]) -> None:
-        """Recompute the stored sketches of ``(table, sketches, key)`` buckets.
-
-        Drops a sketch when its bucket disappeared or its live size is below
-        ``sketch_min_bucket`` (small buckets are answered exactly at query
-        time); otherwise re-sketches the surviving members.  Bucket arrays
-        may still hold tombstoned references awaiting compaction, so
-        membership is filtered through the table layer's liveness mask.  All
-        re-sketched buckets are hashed together
-        (:meth:`~repro.sketches.kmv.DistinctCountSketcher.sketch_groups`).
-        """
-        alive = getattr(self.tables, "alive", None)
-        kept, groups = [], []
-        for table, sketches, key in targets:
-            bucket = table.get(key)
-            members = None if bucket is None else bucket.indices
-            if members is not None and alive is not None:
-                members = members[alive[members]]
-            if members is not None and members.size >= self.sketch_min_bucket:
-                kept.append((sketches, key))
-                groups.append(members)
-            else:
-                sketches.pop(key, None)
-        for (sketches, key), sketch in zip(kept, self._sketcher.sketch_groups(groups)):
-            sketches[key] = sketch
 
     def _stripped_for_snapshot(self):
         # The per-query caches are deterministic functions of the tables and
@@ -263,33 +182,24 @@ class IndependentFairSampler(LSHNeighborSampler):
     # Query helpers
     # ------------------------------------------------------------------
     def estimate_colliding_count(self, query: Point) -> float:
-        """Sketch-based estimate of ``s_q``, the number of colliding points."""
+        """Count-distinct estimate of ``s_q``, the number of live colliding points.
+
+        One bottom-t sketch of the live members of the query's colliding
+        view.  Bottom-t sketches merge exactly (the bottom-t of a union is
+        the bottom-t of its parts' rows), so this is the value the paper's
+        merge of the ``L`` colliding buckets' sketches gives.  A point seen
+        in several tables hashes to the same values each time, and a sketch
+        row keeps distinct values only, so the view needs no deduplication.
+        """
         self._check_fitted()
         digest = point_digest(query)
         if digest is not None and digest in self._estimate_cache:
             return self._estimate_cache[digest]
-        query_keys = self.tables.query_keys(query)
-        # query_buckets (rather than raw table access) so that tombstoned
-        # members awaiting compaction are filtered out of the on-the-fly
-        # small-bucket sketches; stored sketches already exclude them.  The
-        # keys are passed along so the query is hashed only once.
-        buckets = self.tables.query_buckets(query, keys=query_keys)
-        stored, small = [], []
-        for table_index, (key, bucket) in enumerate(zip(query_keys, buckets)):
-            if len(bucket) == 0:
-                continue
-            sketch = self._bucket_sketches[table_index].get(key)
-            if sketch is None:
-                # Small bucket: sketch it on the fly (cheaper than storing
-                # sketches for the long tail of tiny buckets).
-                small.append(bucket.indices)
-            else:
-                stored.append(sketch)
-        if small:
-            stored.append(self._sketcher.sketch_keys(np.concatenate(small)))
-        # Bottom-t sketches merge exactly, so one merge of all L buckets
-        # equals the pairwise merges.
-        estimate = float(BottomTSketch.merge_all(stored).estimate()) if stored else 0.0
+        members = self._colliding_view(query)[1]
+        alive = getattr(self.tables, "alive", None)
+        if alive is not None:
+            members = members[alive[members]]
+        estimate = self._sketcher.sketch_keys(members).estimate()
         if digest is not None:
             if len(self._estimate_cache) >= self._cache_limit:
                 self._estimate_cache.clear()
@@ -326,7 +236,7 @@ class IndependentFairSampler(LSHNeighborSampler):
     def sample_detailed(self, query: Point, exclude_index: Optional[int] = None) -> QueryResult:
         """Section 4 r-NNIS query: segment rejection sampling over ranks.
 
-        Estimates ``s_q`` from the merged bucket sketches, splits the rank
+        Estimates ``s_q`` (:meth:`estimate_colliding_count`), splits the rank
         domain into ``k ~ 2 s_q`` segments and rejection-samples segments
         until one is accepted; all randomness is drawn at query time, so
         answers are uniform *and* independent across repeated queries

@@ -7,10 +7,9 @@ system:
 * :class:`~repro.engine.dynamic.DynamicLSHTables` — LSH tables that absorb
   inserts and deletes online (rank-sorted bucket insertion, tombstone
   deletes, targeted compaction sweeps) while preserving the rank exchangeability
-  the fair samplers' uniformity guarantees rest on, and that report every
-  mutation batch as a structured
-  :class:`~repro.engine.dynamic.MutationDelta` so attached samplers can
-  maintain derived per-bucket state incrementally;
+  the fair samplers' uniformity guarantees rest on, and that count every
+  mutation in a :class:`~repro.engine.dynamic.MutationDelta` the attached
+  sampler drains at its next sync;
 * :class:`~repro.engine.batch.BatchQueryEngine` — batched query execution
   that hashes a whole batch of queries in one vectorized pass and dispatches
   to any sampler, with per-engine serving statistics; queries the

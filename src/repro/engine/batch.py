@@ -33,11 +33,10 @@ make a batch of ``m`` queries much cheaper than ``m`` independent calls:
    attached :class:`~repro.engine.dynamic.DynamicLSHTables` and the sampler
    is re-synchronized lazily, once per batch: the tables' accumulated
    :class:`~repro.engine.dynamic.MutationDelta` is drained through
-   :meth:`~repro.core.base.LSHNeighborSampler.notify_update`, so samplers
-   with expensive derived state (the Section 4 sketches) pay incremental,
-   per-affected-bucket maintenance per *batch of updates*, not a full
-   rebuild per update.  The same sync first sweeps the batch's tombstones
-   out of their buckets, so gathers never filter dead references.
+   :meth:`~repro.core.base.LSHNeighborSampler.notify_update` once per
+   *batch of updates*, not once per update.  The same sync first sweeps
+   the batch's tombstones out of their buckets, so gathers never filter
+   dead references.
 
 Engines over a static :class:`~repro.lsh.tables.LSHTables` support
 everything except mutation.

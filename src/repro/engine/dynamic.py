@@ -8,9 +8,7 @@ serving engine can absorb churn without rebuilding the index:
   it into each bucket's rank-sorted arrays (``O(L * (K + bucket size))``,
   versus ``O(n * L * K)`` for a full refit);
 * **delete** is a tombstone: the point is marked dead in a global liveness
-  mask and queries filter it out lazily, so a delete is ``O(1)`` (the
-  buckets it vacated are resolved later, in one vectorized hashing pass
-  over the whole batch, when the mutation delta is read);
+  mask and queries filter it out lazily, so a delete is ``O(1)``;
 * a **compaction sweep** drops pending tombstones from their buckets and
   releases their slots.  It is targeted: the pending points are hashed once
   and only the ``L`` buckets under their keys are rewritten, so a sweep
@@ -27,16 +25,13 @@ that views it gathered before a sweep name, so while any batch is in flight
 (:meth:`serving_batch`) a sweep cleans the buckets but leaves the swept
 slots' point objects in place; the last batch out releases them.
 
-**Mutation deltas.**  Every mutation is additionally recorded in a
-:class:`MutationDelta` — per table, which bucket keys gained which members,
-which lost which, and which buckets a compaction sweep rewrote.  The
-attached sampler drains the delta through
+**Mutation deltas.**  Every insert and delete is also counted in a
+:class:`MutationDelta`, which the attached sampler drains through
 :meth:`~repro.core.base.LSHNeighborSampler.notify_update` (the serving
-engine triggers this once per mutation batch) and uses it to maintain
-derived per-bucket state incrementally: the Section 4 sampler merges
-inserted members into the ``L`` affected count-distinct sketches and
-rebuilds only the buckets that saw deletions, turning sketch upkeep from
-``O(total bucket refs)`` per batch into ``O(batch x L)``.
+engine triggers this once per mutation batch).  The record holds only what
+a consumer needs to tell whether it has seen the whole history since its
+last sync: the slots inserted and deleted, the epoch the record started
+at, and whether it overflowed.
 
 **Ranks under churn.**  The fair samplers' uniformity rests on every point's
 rank being exchangeable with every other's.  A static index uses a
@@ -65,7 +60,7 @@ import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Hashable, List, Optional
 
 import numpy as np
 
@@ -100,18 +95,13 @@ def serialized(method):
 
 @dataclass
 class MutationDelta:
-    """Structured record of index mutations since the last drain.
+    """Record of index mutations since the last drain.
 
     :class:`DynamicLSHTables` accumulates one of these across mutation calls
     and hands it to the attached sampler through
     :meth:`~repro.lsh.tables.LSHTables.drain_delta` /
-    :meth:`~repro.core.base.LSHNeighborSampler.notify_update`.  Samplers with
-    per-bucket derived state (the Section 4 count-distinct sketches) use it
-    to update only the buckets a mutation batch actually touched — ``O(batch
-    x L)`` work — instead of rebuilding every bucket's state from scratch.
-
-    The per-table maps are keyed by bucket key, exactly as the table dicts
-    are, so a consumer can look the affected buckets up directly.
+    :meth:`~repro.core.base.LSHNeighborSampler.notify_update`.  The Section 4
+    sampler reads it to decide whether to redraw its sketch hash functions.
 
     Attributes
     ----------
@@ -119,78 +109,34 @@ class MutationDelta:
         Slot indices added since the last drain, in insertion order.
     deleted:
         Slot indices tombstoned since the last drain.
-    inserted_members:
-        One dict per table: bucket key -> slot indices spliced into that
-        bucket by inserts.  Inserted members are *mergeable* into derived
-        per-bucket state (sketches are union-closed).
-    tombstoned_members:
-        One dict per table: bucket key -> slot indices tombstoned out of
-        that bucket.  Tombstones cannot be subtracted from a sketch, so
-        consumers must rebuild these buckets' derived state from the
-        surviving members.
-    compacted_keys:
-        One set per table: bucket keys rewritten (or dropped entirely) by
-        compaction sweeps.  Compaction never changes a bucket's *live*
-        membership, but consumers that track per-bucket state keyed by
-        bucket key should treat these like deletion-affected buckets — a
-        swept bucket may have disappeared from the table altogether.
     overflowed:
         True when the record was collapsed because it outgrew its bound
         (mutations kept accumulating with no consumer draining them).  An
-        overflowed delta's per-item fields are incomplete; the only safe
-        response is a full rebuild of derived state, exactly as for a
-        missing (``None``) delta.
+        overflowed delta's slot lists are incomplete; a consumer must treat
+        it like a missing (``None``) delta.
     start_epoch:
         The table layer's :attr:`~repro.lsh.tables.LSHTables.mutation_epoch`
         at the moment this record started accumulating.  A consumer whose
         last synchronized epoch differs has a *gap* — some earlier record
-        went to a different consumer — and must rebuild in full rather than
-        apply this delta incrementally.
+        went to a different consumer — and must treat the record as missing.
     """
 
     inserted: List[int] = field(default_factory=list)
     deleted: List[int] = field(default_factory=list)
-    inserted_members: List[Dict[Hashable, List[int]]] = field(default_factory=list)
-    tombstoned_members: List[Dict[Hashable, List[int]]] = field(default_factory=list)
-    compacted_keys: List[Set[Hashable]] = field(default_factory=list)
     overflowed: bool = False
     start_epoch: int = 0
 
-    @classmethod
-    def empty(cls, num_tables: int, start_epoch: int = 0) -> "MutationDelta":
-        """A delta for *num_tables* tables with nothing recorded yet."""
-        return cls(
-            inserted=[],
-            deleted=[],
-            inserted_members=[{} for _ in range(num_tables)],
-            tombstoned_members=[{} for _ in range(num_tables)],
-            compacted_keys=[set() for _ in range(num_tables)],
-            start_epoch=start_epoch,
-        )
-
-    @property
-    def num_tables(self) -> int:
-        """Number of tables the per-table maps describe."""
-        return len(self.inserted_members)
+    def __setstate__(self, state: dict) -> None:
+        # Records pickled while samplers kept per-bucket state also name, per
+        # table, the buckets each mutation touched; nothing reads them now.
+        for dead in ("inserted_members", "tombstoned_members", "compacted_keys"):
+            state.pop(dead, None)
+        self.__dict__.update(state)
 
     @property
     def is_empty(self) -> bool:
         """True when no mutation has been recorded since the last drain."""
-        return not (
-            self.inserted
-            or self.deleted
-            or self.overflowed
-            or any(self.compacted_keys)
-        )
-
-    def rebuild_keys(self, table_index: int) -> Set[Hashable]:
-        """Bucket keys of *table_index* whose derived state must be rebuilt.
-
-        These are the buckets that saw deletions or compaction; merging is
-        impossible there, only a targeted rebuild from the surviving members
-        is correct.
-        """
-        return set(self.tombstoned_members[table_index]) | self.compacted_keys[table_index]
+        return not (self.inserted or self.deleted or self.overflowed)
 
 
 class DynamicLSHTables(LSHTables):
@@ -239,16 +185,8 @@ class DynamicLSHTables(LSHTables):
         self._pending: set = set()
         self.rebuilds_triggered = 0
         # Mutations accumulated since the last drain_delta(); the serving
-        # engine's per-batch sampler sync consumes this so derived per-bucket
-        # state (the Section 4 sketches) is maintained incrementally.
-        self._delta = MutationDelta.empty(self.l)
-        # Mutations whose per-table bucket keys have not been folded into the
-        # delta yet.  Keeping the raw records and resolving them only when
-        # the delta is read keeps the mutation hot path lean: a delete stays
-        # O(1) (the point object is captured so it survives compaction), and
-        # an insert batch just parks the key lists it computed anyway.
-        self._unresolved_deletes: list = []
-        self._unresolved_inserts: list = []
+        # engine's per-batch sampler sync consumes it.
+        self._delta = MutationDelta()
         # Shared columnar store for the vectorized candidate-evaluation
         # pipeline: None = not built yet, False = no columnar form applies.
         # Attached samplers score candidates against this one store, so it is
@@ -308,9 +246,7 @@ class DynamicLSHTables(LSHTables):
         self._pending.clear()
         self._unreleased = []
         # A refit supersedes any unconsumed mutation history.
-        self._delta = MutationDelta.empty(self.l, start_epoch=self.mutation_epoch)
-        self._unresolved_deletes = []
-        self._unresolved_inserts = []
+        self._delta = MutationDelta(start_epoch=self.mutation_epoch)
         self._store = None  # rebuilt lazily over the fresh point container
         return self
 
@@ -379,53 +315,7 @@ class DynamicLSHTables(LSHTables):
     @serialized
     def peek_delta(self) -> MutationDelta:
         """The unconsumed :class:`MutationDelta` (without draining it)."""
-        self._resolve_delta()
         return self._delta
-
-    def _resolve_delta(self) -> None:
-        """Fold mutations recorded since the last read into the delta's maps.
-
-        Deferred so the mutation hot path stays lean: tombstoned points are
-        hashed against all ``L`` tables here, in one vectorized
-        :meth:`query_keys_many` pass per delta read (a ``delete`` itself does
-        no hashing), and insert batches are grouped into per-table
-        ``inserted_members`` from the key lists ``insert_many`` computed
-        anyway.  The work is paid where the record is consumed — the
-        sampler's per-batch sync — not on every mutation call.
-        """
-        if self._delta.overflowed:
-            # The per-item record is already incomplete; resolving the tail
-            # would be wasted work, the consumer must rebuild regardless.
-            self._unresolved_deletes.clear()
-            self._unresolved_inserts.clear()
-            return
-        self._resolve_deletes()
-        if self._unresolved_inserts:
-            inserted_members = self._delta.inserted_members
-            for start, keys_per_point in self._unresolved_inserts:
-                for offset, keys in enumerate(keys_per_point):
-                    index = start + offset
-                    for table_index, key in enumerate(keys):
-                        inserted_members[table_index].setdefault(key, []).append(index)
-            self._unresolved_inserts.clear()
-
-    def _resolve_deletes(self) -> Dict[int, List[Hashable]]:
-        """Fold the unresolved deletes into the delta's ``tombstoned_members``.
-
-        Returns the per-table keys it hashed, by slot, so a compaction sweep
-        reuses them instead of hashing the same points again.
-        """
-        if not self._unresolved_deletes or self._delta.overflowed:
-            self._unresolved_deletes.clear()
-            return {}
-        keys_per_point = self.query_keys_many([point for _, point in self._unresolved_deletes])
-        keys_of = {}
-        for (index, _), keys in zip(self._unresolved_deletes, keys_per_point):
-            keys_of[index] = keys
-            for table_index, key in enumerate(keys):
-                self._delta.tombstoned_members[table_index].setdefault(key, []).append(index)
-        self._unresolved_deletes.clear()
-        return keys_of
 
     @serialized
     def drain_delta(self) -> MutationDelta:
@@ -434,46 +324,26 @@ class DynamicLSHTables(LSHTables):
         The delta is single-consumer: whoever drains it owns the record, and
         the tables start accumulating a fresh one.  The serving engine drains
         once per mutation batch through the attached sampler's
-        :meth:`~repro.core.base.LSHNeighborSampler.notify_update`, which lets
-        the Section 4 sampler fold a batch into only the affected bucket
-        sketches instead of rebuilding all of them.
+        :meth:`~repro.core.base.LSHNeighborSampler.notify_update`.
         """
-        self._resolve_delta()
         delta = self._delta
-        self._delta = MutationDelta.empty(self.l, start_epoch=self.mutation_epoch)
+        self._delta = MutationDelta(start_epoch=self.mutation_epoch)
         return delta
-
-    @serialized
-    def discard_delta(self) -> None:
-        """Drop the unconsumed mutation record without resolving it.
-
-        Cheaper than :meth:`drain_delta` — no hashing or grouping happens —
-        for consumers (samplers without derived per-bucket state) that only
-        need the record out of the way so it cannot accumulate unboundedly.
-        """
-        self._delta = MutationDelta.empty(self.l, start_epoch=self.mutation_epoch)
-        self._unresolved_deletes.clear()
-        self._unresolved_inserts.clear()
 
     def _maybe_overflow_delta(self) -> None:
         """Collapse the unconsumed delta when it outgrows its bound.
 
-        With no consumer draining it (standalone table usage), the record —
-        and the deleted point objects the unresolved queue pins — would grow
-        with lifetime mutations.  Past ``max(1024, 2 * num_live)`` recorded
-        mutations the per-item history stops being cheaper than a rebuild
-        anyway, so it is dropped and replaced by an ``overflowed`` marker;
-        memory stays bounded by the live index size.
+        With no consumer draining it (standalone table usage), the record
+        would grow with lifetime mutations.  Past ``max(1024, 2 * num_live)``
+        recorded mutations it is dropped and replaced by an ``overflowed``
+        marker, so memory stays bounded by the live index size.
         """
         delta = self._delta
         if len(delta.inserted) + len(delta.deleted) <= max(1024, 2 * self._num_live):
             return
         # The collapsed record still covers everything since the original
         # start, so the start epoch is preserved.
-        self._delta = MutationDelta.empty(self.l, start_epoch=delta.start_epoch)
-        self._delta.overflowed = True
-        self._unresolved_deletes.clear()
-        self._unresolved_inserts.clear()
+        self._delta = MutationDelta(overflowed=True, start_epoch=delta.start_epoch)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -559,10 +429,6 @@ class DynamicLSHTables(LSHTables):
                     )
         indices = list(range(start, start + count))
         self._delta.inserted.extend(indices)
-        # Park the key lists for the delta; they are grouped into per-table
-        # inserted_members only when the delta is read (see
-        # _resolve_delta), keeping the insert path itself lean.
-        self._unresolved_inserts.append((start, keys_per_point))
         self.mutation_epoch += 1
         self._maybe_overflow_delta()
         return indices
@@ -614,11 +480,9 @@ class DynamicLSHTables(LSHTables):
     def delete(self, index: int) -> None:
         """Tombstone the point at *index*; queries stop returning it at once.
 
-        O(1): the mutation delta's record of which buckets lost the member
-        is resolved lazily — all of a batch's tombstoned points are hashed
-        in one vectorized pass when the delta is next read.  Triggers a
-        compaction sweep when the pending-tombstone fraction crosses
-        :attr:`max_tombstone_fraction`.
+        O(1), no hashing: the buckets the point vacated are found by the
+        compaction sweep that removes it.  Triggers that sweep when the
+        pending-tombstone fraction crosses :attr:`max_tombstone_fraction`.
 
         Raises
         ------
@@ -635,11 +499,6 @@ class DynamicLSHTables(LSHTables):
             raise SlotOutOfRangeError(f"index {index} out of range [0, {self._n})")
         if not self._alive[index]:
             raise AlreadyDeletedError(f"point {index} was already deleted")
-        # Capture the point object while it still exists (a compaction sweep
-        # — possibly the one triggered below — releases the slot's entry);
-        # its bucket keys are resolved lazily, in one vectorized pass per
-        # delta read, so the delete itself does no hashing.
-        self._unresolved_deletes.append((index, self._points[index]))
         self._delta.deleted.append(index)
         self.mutation_epoch += 1
         self._maybe_overflow_delta()
@@ -658,8 +517,8 @@ class DynamicLSHTables(LSHTables):
 
         A tombstoned point sits in exactly one bucket per table — the one
         under its own key — so the sweep hashes the pending points once
-        (:meth:`query_keys_many`, sharing the pass that records them in the
-        mutation delta) and rewrites only those buckets, deleting
+        (:meth:`query_keys_many`; their point objects are released only by
+        the sweep itself) and rewrites only those buckets, deleting
         the ones it empties: ``O(pending x L x bucket size)`` work, however
         large the index.  The sweep then checks that it removed exactly
         ``len(pending) x L`` dead references.  A point hashed at ``fit``
@@ -679,19 +538,10 @@ class DynamicLSHTables(LSHTables):
         if not self._pending:
             return
         dead = self._pending
-        keys_of = self._resolve_deletes()
-        # A delete whose delta record was already read or dropped is hashed
-        # here.
-        missing = [index for index in dead if index not in keys_of]
-        if missing:
-            keys_of.update(
-                zip(missing, self.query_keys_many([self._points[index] for index in missing]))
-            )
-        keys_per_point = [keys_of[index] for index in dead]
+        keys_per_point = self.query_keys_many([self._points[index] for index in dead])
         alive = self._alive
         removed = 0
         for table_index, table in enumerate(self._tables):
-            swept = self._delta.compacted_keys[table_index]
             for key in {keys[table_index] for keys in keys_per_point}:
                 bucket = table.get(key)
                 if bucket is None:
@@ -701,7 +551,6 @@ class DynamicLSHTables(LSHTables):
                 if kept == keep.size:
                     continue
                 removed += keep.size - kept
-                swept.add(key)
                 if kept:
                     table[key] = bucket.filtered(keep)
                 else:
@@ -757,14 +606,12 @@ class DynamicLSHTables(LSHTables):
         """
         alive = self._alive.tolist()
         dead = self._pending
-        for table_index, table in enumerate(self._tables):
-            swept = self._delta.compacted_keys[table_index]
+        for table in self._tables:
             dead_keys: List[Hashable] = []
             for key, bucket in table.items():
                 members = bucket.indices.tolist()
                 if dead.isdisjoint(members):
                     continue
-                swept.add(key)
                 keep = [position for position, index in enumerate(members) if alive[index]]
                 if not keep:
                     dead_keys.append(key)

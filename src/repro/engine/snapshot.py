@@ -17,12 +17,12 @@ holds three files:
     (stripped of its table/dataset references, which are restored from the
     arrays) and — for dynamic tables — the mutation RNG plus any
     not-yet-consumed :class:`~repro.engine.dynamic.MutationDelta`, so the
-    restored engine keeps maintaining sampler state incrementally.
+    restored sampler's first sync decides exactly as the saved one would.
 
 ``load_engine`` rebuilds bit-identical state: the restored sampler carries
-the same query RNG stream and (for Section 4) the same bucket sketches, so
-subsequent samples reproduce exactly what the saved engine would have
-returned.
+the same query RNG stream and (for Section 4) the same sketch hash
+functions, so subsequent samples reproduce exactly what the saved engine
+would have returned.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from repro.store import (
 )
 
 #: Version 2 added the pending :class:`~repro.engine.dynamic.MutationDelta`
-#: to ``objects.pkl`` so a restored engine keeps maintaining derived sampler
-#: state incrementally across the save/load boundary.  Version 3 added the
+#: to ``objects.pkl`` so a restored sampler's first sync sees what changed
+#: since the save.  Version 3 added the
 #: engine's serving name (``sampler_name``) and its originating declarative
 #: spec (``spec`` / ``spec_kind``) to the manifest, making snapshots
 #: self-describing.  Version 4 was the layout of table-sharded engines,
@@ -184,7 +184,7 @@ def save_engine(
             "only engines over LSH-table-backed samplers can be snapshotted"
         )
     # Flush pending mutations into the sampler first: the pickled sampler
-    # carries derived state (caches, sketches) that must reflect the tables
+    # carries derived state (caches, the sketcher) that must reflect the tables
     # being written, or the loaded clone would serve stale answers forever.
     engine._sync()
     tables = sampler.tables
@@ -217,7 +217,7 @@ def save_engine(
 
     # The sampler travels as a stripped copy: its heavy references (tables,
     # dataset, rank view) and rebuildable caches are dropped and rebuilt on
-    # load, while query-time state (RNG streams, Section 4 sketches) rides
+    # load, while query-time state (RNG streams, Section 4 sketch hashes) rides
     # along for bit-identical post-load behaviour.
     sampler_copy = sampler._stripped_for_snapshot()
 
@@ -239,8 +239,7 @@ def save_engine(
         # Mutations recorded but not yet consumed by a sampler sync (possible
         # when the tables were mutated directly rather than through the
         # engine).  Persisting the delta means the restored sampler's first
-        # notify_update still sees exactly what changed and can stay on the
-        # incremental maintenance path.
+        # notify_update still sees exactly what changed, overflow included.
         "pending_delta": tables.peek_delta() if dynamic else None,
     }
 
@@ -535,12 +534,10 @@ def _load_engine(
             tables.rebuilds_triggered = int(manifest["rebuilds_triggered"])
             tables._mut_rng = objects["mut_rng"]
             restored_delta = objects.get("pending_delta")
-            tables._delta = (
-                restored_delta if restored_delta is not None else MutationDelta.empty(num_tables)
-            )
+            tables._delta = restored_delta if restored_delta is not None else MutationDelta()
             # Epochs restart at 0 in the restored tables; re-anchor the delta
-            # so the re-anchored sampler (below) sees no epoch gap and can
-            # still apply the persisted record incrementally.
+            # so the re-anchored sampler (below) sees no epoch gap.  Its
+            # overflowed flag is kept, and still forces a redraw.
             tables._delta.start_epoch = tables.mutation_epoch
             dataset = tables.dataset
         else:

@@ -9,7 +9,9 @@ This is the storage layer shared by all LSH-based samplers:
   an in-order scan;
 * the Section 4 sampler needs *rank-range* queries inside each colliding
   bucket ("all points of this bucket with rank in ``[lo, hi)``") and a
-  mergeable count-distinct sketch per bucket.
+  count-distinct estimate of the colliding points (the paper merges one
+  sketch per bucket; :mod:`repro.core.fair_nnis` sketches the gathered
+  view instead, which gives the same value).
 
 Buckets are stored as numpy index arrays.  When ranks are supplied the arrays
 are sorted by rank so both the ordered scan and the range query (via
@@ -304,8 +306,7 @@ class LSHTables:
     def ensure_clean_buckets(self) -> None:
         """Guarantee buckets reference live points only (static: always true).
 
-        Samplers that derive per-bucket state (e.g. the Section 4
-        count-distinct sketches) call this before rebuilding, so the contract
+        Samplers call this before rebuilding derived state, so the contract
         lives in the table API; mutable subclasses override it to sweep
         pending tombstones.
         """
@@ -315,22 +316,13 @@ class LSHTables:
 
         Static tables never mutate and have nothing to report: they return
         ``None``, which tells :meth:`~repro.core.base.LSHNeighborSampler.notify_update`
-        consumers that no structured delta is available and a full rebuild of
-        derived state is the only safe course.
+        consumers that no delta is available and a full rebuild of derived
+        state is the only safe course.
         :class:`~repro.engine.dynamic.DynamicLSHTables` overrides this to
         return a :class:`~repro.engine.dynamic.MutationDelta` (possibly
-        empty), enabling incremental maintenance.
+        empty).
         """
         return None
-
-    def discard_delta(self) -> None:
-        """Drop any unconsumed mutation record without the cost of resolving it.
-
-        Static tables record nothing, so this is a no-op; mutable subclasses
-        override it.  Samplers that do not consume deltas call this from
-        ``notify_update`` so the record can neither accumulate unboundedly
-        nor charge them for resolution work they would throw away.
-        """
 
     @property
     def ranks(self) -> Optional[np.ndarray]:

@@ -257,13 +257,21 @@ class SamplerSpec(_JsonRoundTrip):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SamplerSpec":
-        """Reconstruct a spec from :meth:`to_dict` output (validated)."""
+        """Reconstruct a spec from :meth:`to_dict` output (validated).
+
+        Dicts persisted while the Section 4 sampler stored one sketch per
+        bucket may name that option, ``sketch_min_bucket``; it never changed
+        an answer, so it is dropped.
+        """
         _reject_unknown_keys(data, ("sampler", "params", "lsh", "distance", "seed"), "SamplerSpec")
         lsh = data.get("lsh")
         distance = data.get("distance")
+        params = dict(data.get("params", {}))
+        if data.get("sampler") == "independent":
+            params.pop("sketch_min_bucket", None)
         return cls(
             sampler=data.get("sampler"),
-            params=dict(data.get("params", {})),
+            params=params,
             lsh=None if lsh is None else LSHSpec.from_dict(lsh),
             distance=None if distance is None else DistanceSpec.from_dict(distance),
             seed=data.get("seed"),

@@ -99,7 +99,6 @@ def test_targeted_sweep_matches_full_walk(flavour, seed):
     tables.compact()
 
     assert _bucket_state(tables) == _bucket_state(reference)
-    assert tables._delta.compacted_keys == reference._delta.compacted_keys
     assert _dead_references(tables) == 0
     assert tables.pending_tombstones == 0
     assert tables.rebuilds_triggered == 1

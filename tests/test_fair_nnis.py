@@ -7,6 +7,7 @@ from repro.core import IndependentFairSampler
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.fairness.metrics import total_variation_from_uniform
 from repro.lsh import MinHashFamily
+from repro.sketches import BottomTSketch
 
 
 def make_sampler(dataset, radius=0.5, seed=0, num_tables=60, **kwargs):
@@ -62,17 +63,20 @@ class TestCorrectness:
         assert result.found
         assert result.stats.rounds >= 1
 
-    def test_sketches_built_only_for_large_buckets(self, small_set_dataset):
+    def test_estimate_merges_the_colliding_buckets_sketches(self, small_set_dataset):
+        """The estimate is the paper's: the merged sketches of the colliding buckets."""
         sampler = IndependentFairSampler(
-            MinHashFamily(), radius=0.3, far_radius=0.1, num_hashes=1, num_tables=20,
-            sketch_min_bucket=8, seed=4,
+            MinHashFamily(), radius=0.3, far_radius=0.1, num_hashes=1, num_tables=20, seed=4,
         ).fit(small_set_dataset)
-        for table, sketches in zip(sampler.tables._tables, sampler._bucket_sketches):
-            for key, bucket in table.items():
-                if len(bucket) >= 8:
-                    assert key in sketches
-                else:
-                    assert key not in sketches
+        for query in small_set_dataset[:10]:
+            sketches = [
+                sampler._sketcher.sketch_keys(bucket.indices)
+                for bucket in sampler.tables.query_buckets(query)
+                if len(bucket)
+            ]
+            assert len(sketches) == sampler.tables.num_tables  # a point meets itself
+            merged = BottomTSketch.merge_all(sketches).estimate()
+            assert sampler.estimate_colliding_count(query) == merged
 
 
 class TestUniformityAndIndependence:

@@ -63,23 +63,18 @@ class TestPairwiseIndependentHash:
 class TestBottomTSketch:
     def test_exact_for_small_streams(self):
         sketcher = DistinctCountSketcher(universe_size=1000, epsilon=0.5, seed=0)
-        sketch = sketcher.new_sketch()
-        sketch.update_many(range(5))
+        sketch = sketcher.sketch_keys(range(5))
         assert sketch.estimate() == pytest.approx(5.0)
 
     def test_duplicates_do_not_inflate(self):
         sketcher = DistinctCountSketcher(universe_size=1000, epsilon=0.5, seed=1)
-        sketch = sketcher.new_sketch()
-        for _ in range(10):
-            sketch.update_many([1, 2, 3])
+        sketch = sketcher.sketch_keys([1, 2, 3] * 10)
         assert sketch.estimate() == pytest.approx(3.0)
 
     def test_estimate_accuracy_on_large_stream(self):
         sketcher = DistinctCountSketcher(universe_size=100_000, epsilon=0.25, delta=0.01, seed=2)
-        sketch = sketcher.new_sketch()
         true_count = 3000
-        sketch.update_many(range(true_count))
-        estimate = sketch.estimate()
+        estimate = sketcher.sketch_keys(range(true_count)).estimate()
         assert 0.6 * true_count <= estimate <= 1.6 * true_count
 
     def test_merge_equals_union(self):
@@ -102,10 +97,8 @@ class TestBottomTSketch:
             BottomTSketch.merge_all([])
 
     def test_merge_incompatible_sketches_rejected(self):
-        a = DistinctCountSketcher(universe_size=100, epsilon=0.5, seed=5).new_sketch()
-        b = DistinctCountSketcher(universe_size=100, epsilon=0.5, seed=6).new_sketch()
-        a.update(1)
-        b.update(2)
+        a = DistinctCountSketcher(universe_size=100, epsilon=0.5, seed=5).sketch_keys([1])
+        b = DistinctCountSketcher(universe_size=100, epsilon=0.5, seed=6).sketch_keys([2])
         with pytest.raises(InvalidParameterError):
             a.merge(b)
 
@@ -140,35 +133,14 @@ class TestBatchedSketchOperations:
     """The array paths equal one-key-at-a-time bottom-t sketching."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_sketch_groups_equal_per_group_sketches(self, seed):
+    def test_sketch_keys_equals_scalar_sketching(self, seed):
         rng = np.random.default_rng(seed)
         sketcher = DistinctCountSketcher(universe_size=5000, epsilon=0.5, seed=seed)
         # Empty, tiny, exactly-t and much-larger-than-t groups, with repeats.
-        sizes = [0, 1, sketcher.t, sketcher.t + 1, 3, 200, 0, 57]
-        groups = [rng.integers(0, 5000, size=size) for size in sizes]
-        sketches = sketcher.sketch_groups(groups)
-        assert len(sketches) == len(groups)
-        for sketch, group in zip(sketches, groups):
-            assert _rows(sketch) == _reference_rows(sketcher, group)
-            assert _rows(sketch) == _rows(sketcher.sketch_keys(group))
-        assert sketcher.sketch_groups([]) == []
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_fold_keys_equals_add_keys(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        sketcher = DistinctCountSketcher(universe_size=5000, epsilon=0.5, seed=seed)
-        starts = [rng.integers(0, 5000, size=size) for size in (0, 5, 16, 40, 300, 300)]
-        batches = [list(rng.integers(0, 5000, size=size)) for size in (3, 0, 30, 1, 500, 2)]
-        # Mostly small batches into full sketches, as mutation deltas are:
-        # a new value just below a row's t-th value must still get in.
-        starts += [rng.integers(0, 5000, size=rng.integers(100, 300)) for _ in range(80)]
-        batches += [list(rng.integers(0, 5000, size=rng.integers(1, 6))) for _ in range(80)]
-        folded = [sketcher.sketch_keys(keys) for keys in starts]
-        sketcher.fold_keys(folded, batches)
-        for sketch, start, batch in zip(folded, starts, batches):
-            expected = sketcher.sketch_keys(start).add_keys(batch)
-            assert _rows(sketch) == _rows(expected)
-            assert _rows(sketch) == _reference_rows(sketcher, list(start) + batch)
+        for size in [0, 1, sketcher.t, sketcher.t + 1, 3, 200, 57]:
+            keys = rng.integers(0, 5000, size=size)
+            assert _rows(sketcher.sketch_keys(keys)) == _reference_rows(sketcher, keys)
+            assert _rows(sketcher.sketch_keys(keys.tolist())) == _reference_rows(sketcher, keys)
 
     def test_merge_all_equals_the_union_stream(self):
         sketcher = DistinctCountSketcher(universe_size=5000, epsilon=0.5, seed=9)

@@ -162,7 +162,7 @@ class TestSpecRoundTrip:
             SamplerSpec("exact", {"radius": 0.3}, distance=DistanceSpec("jaccard"), seed=3),
             SamplerSpec(
                 "independent",
-                {"radius": 0.4, "far_radius": 0.1, "sketch_min_bucket": 8},
+                {"radius": 0.4, "far_radius": 0.1, "max_rounds": 5000},
                 lsh=LSHSpec("onebit_minhash"),
                 seed=11,
             ),
@@ -250,6 +250,23 @@ class TestSpecRoundTrip:
         for key, value in (("n_shards", 2), ("executor", "process"), ("placement", "hash")):
             with pytest.raises(InvalidParameterError, match=key):
                 EngineSpec.from_dict({**spec.to_dict(), key: value})
+
+    def test_sampler_spec_drops_legacy_sketch_min_bucket(self):
+        """Section 4 spec dicts persisted while a sketch was stored per
+        bucket name its size cutoff; they load, and build, without it."""
+        params = {"radius": 0.4, "far_radius": 0.1}
+        spec = SamplerSpec("independent", params, lsh=LSHSpec("minhash"), seed=2)
+        for cutoff in (1, 16, 500):
+            legacy = spec.to_dict()
+            legacy["params"] = {**params, "sketch_min_bucket": cutoff}
+            assert SamplerSpec.from_dict(legacy) == spec
+            engine = EngineSpec.from_dict(
+                {**EngineSpec(samplers={"fair": spec}).to_dict(), "samplers": {"fair": legacy}}
+            )
+            assert engine.samplers["fair"] == spec
+            assert spec_from_dict(legacy).build().max_rounds == spec.build().max_rounds
+        with pytest.raises(TypeError, match="sketch_min_bucket"):
+            SamplerSpec("independent", {**params, "sketch_min_bucket": 4}, lsh=LSHSpec("minhash")).build()
 
     def test_spec_from_dict_dispatch(self):
         assert isinstance(spec_from_dict({"name": "jaccard"}), DistanceSpec)
