@@ -6,7 +6,8 @@ is the paper's construction built from scratch: one bottom-t sketch of the
 live members of each non-empty colliding bucket, merged with
 ``BottomTSketch.merge_all``.  Bottom-t sketches merge exactly, so the
 sampler must return that reference value *exactly*, on static and dynamic
-tables, under any insert/delete/compaction schedule.
+tables, under any insert/delete/compaction schedule (the schedules, and the
+mutation record that drives each sync, are in ``test_incremental_sketches.py``).
 
 The sketch hash functions come from ``_perm_rng``, the stream that also
 draws the permutation, so *when* the sketcher is redrawn is part of every
@@ -76,61 +77,12 @@ def assert_exact(sampler, queries):
 # Exactness
 # ----------------------------------------------------------------------
 class TestExactness:
-    @pytest.mark.parametrize("schedule_seed", [0, 1, 2, 3])
-    def test_random_schedules_match_a_from_scratch_sketch(self, schedule_seed):
-        rng = np.random.default_rng(100 + schedule_seed)
-        dataset = random_sets(rng, 40)
-        queries = dataset[:15] + random_sets(rng, 5) + [MARKER]
-        engine = build_engine(dataset, seed=schedule_seed)
-        tables = engine.tables
-        assert_exact(engine.sampler, queries)
-
-        for _ in range(12):
-            operation = rng.integers(0, 4)
-            if operation == 0:
-                engine.insert_many(random_sets(rng, int(rng.integers(1, 6))))
-            elif operation == 1:
-                live = np.flatnonzero(tables.alive)
-                doomed = rng.choice(live, size=min(3, live.size - 5), replace=False)
-                for index in doomed:
-                    engine.delete(int(index))
-            elif operation == 2:
-                # Mixed batch: deletes and inserts coalesced into one sync.
-                live = np.flatnonzero(tables.alive)
-                engine.delete(int(rng.choice(live)))
-                engine.insert_many(random_sets(rng, 2) + [MARKER])
-            else:
-                tables.compact()
-                engine._tables_dirty = True
-            engine._sync()
-            assert_exact(engine.sampler, queries)
-
     def test_static_tables_match_a_from_scratch_sketch(self):
         rng = np.random.default_rng(5)
         dataset = random_sets(rng, 60) + [MARKER] * 5
         sampler = make_sampler(seed=6, num_tables=12).fit(dataset)
         assert_exact(sampler, dataset[:20] + random_sets(rng, 5) + [MARKER])
         assert sampler.estimate_colliding_count(MARKER) == 5.0
-
-    def test_direct_calls_with_tombstones_pending(self):
-        """Deleted copies stop counting at the next sync, before any sweep."""
-        rng = np.random.default_rng(17)
-        dataset = random_sets(rng, 30) + [MARKER] * 6
-        tables = DynamicLSHTables(
-            MinHashFamily(), l=8, seed=19, max_tombstone_fraction=0.9
-        ).fit(dataset)
-        sampler = make_sampler(seed=19).attach(tables, tables.dataset)
-        assert sampler.estimate_colliding_count(MARKER) == 6.0
-        for index in [30, 31, 32, 33]:
-            tables.delete(index)
-        sampler.notify_update()
-        assert tables.pending_tombstones == 4
-        assert sampler.estimate_colliding_count(MARKER) == 2.0
-        assert_exact(sampler, dataset[:10] + [MARKER])
-        tables.insert_many([MARKER] * 3)
-        sampler.notify_update()
-        assert sampler.estimate_colliding_count(MARKER) == 5.0
-        assert_exact(sampler, dataset[:10] + [MARKER])
 
     def test_attach_with_pending_tombstones_excludes_dead_members(self):
         rng = np.random.default_rng(31)
@@ -308,26 +260,6 @@ class TestRedrawTriggers:
             sketcher, rng_before = sampler._sketcher, copy.deepcopy(sampler._perm_rng)
             sampler.notify_update()
             assert_redrawn(sampler, sketcher, rng_before, 30)
-
-
-# ----------------------------------------------------------------------
-# The mutation record
-# ----------------------------------------------------------------------
-class TestMutationDelta:
-    def test_records_inserts_and_deletes(self):
-        tables = DynamicLSHTables(MinHashFamily(), l=4, seed=3).fit(
-            [frozenset({1, 2, 3}), frozenset({1, 2, 4}), frozenset({8, 9})]
-        )
-        assert tables.peek_delta().is_empty
-        new = tables.insert(frozenset({1, 2, 5}))
-        tables.delete(new)
-        delta = tables.peek_delta()
-        assert (delta.inserted, delta.deleted, delta.overflowed) == ([new], [new], False)
-        tables.compact()
-        drained = tables.drain_delta()
-        assert drained is delta
-        assert tables.peek_delta().is_empty
-        assert tables.drain_delta().is_empty
 
 
 # ----------------------------------------------------------------------
