@@ -9,11 +9,11 @@ benchmark (``perfbench/``) derives its embedding workload from
 * **Permutation single draws** (Section 3) ride the bounded rank-prefix
   gather: each query collects only its bottom-``B`` colliding references
   by rank and certifies its answer from that prefix.
-* **Standard-LSH single draws** take the full-view fallback on this
-  workload (its buckets are too large for the prefix budget, so the
-  controller switches the gather off).  The sampler is
-  query-deterministic, so the fallback answers run in parallel chunks on
-  the shared thread pool; the row is measured with that pool on and off,
+* **Standard-LSH single draws** take the full-view fallback: the
+  classical scan is bucket by bucket, not in rank order, so a rank prefix
+  cannot decide it.  The sampler is query-deterministic, so the fallback
+  answers run in parallel chunks on the shared thread pool; the row is
+  measured with that pool on and off,
   one engine per arm.  Answers and counters must be byte-identical either
   way, and on multicore hosts the parallel run must not be slower than
   the serial one by more than 10%.
@@ -155,8 +155,7 @@ def test_sharded_batched_throughput():
     del permutation
     gc.collect()
 
-    # One engine per arm: the budget controller's periodic probe batches
-    # then land on the same run of both arms.
+    # One engine per arm, so each arm's counters can be compared whole.
     parallel_engine = BatchQueryEngine.build(_standard_lsh_sampler(), dataset)
     serial_engine = BatchQueryEngine.build(_standard_lsh_sampler(), dataset)
     _with_workers(workers, lambda: parallel_engine.sample_batch(queries[:20]))()
@@ -226,12 +225,13 @@ def test_sharded_batched_throughput():
 
 
 def test_prefix_path_covers_sample_k_and_standard_lsh():
-    """The widened prefix contract carries ``sample_k`` and standard LSH.
+    """The prefix path carries ``sample_k``, and standard LSH stays off it.
 
-    ``sample_k`` batches (Section 3.1 k-lowest-ranks draws) and classical
-    ``standard_lsh`` single-draw batches must both ride the bounded
-    rank-prefix gather (``prefix_scans > 0``) on the same 100k-point
-    workload the throughput test measures.
+    On the same 100k-point workload the throughput test measures,
+    ``sample_k`` batches (Section 3.1 k-lowest-ranks draws) ride the
+    bounded rank-prefix gather (``prefix_scans > 0``), while classical
+    ``standard_lsh`` single-draw batches over rank-built tables answer from
+    the full view (``prefix_scans == 0``).
     """
     dataset, queries = _workload()
     modes = {
@@ -252,11 +252,12 @@ def test_prefix_path_covers_sample_k_and_standard_lsh():
     for mode, (make_sampler, requests) in modes.items():
         engine = BatchQueryEngine.build(make_sampler(), dataset)
         engine.run(requests[:20])
-        # The cold batches above and below ride the gather before the
-        # controller can switch it off for a workload it cannot win.
         ((_, seconds),) = _timed_interleaved(lambda: engine.run(requests))
         stats = engine.stats
-        assert stats.prefix_scans > 0, mode
+        if mode == "standard_lsh_single":
+            assert stats.prefix_scans == 0, mode
+        else:
+            assert stats.prefix_scans > 0, mode
         payload[mode] = {
             **_summary(seconds),
             "prefix_scans": stats.prefix_scans,

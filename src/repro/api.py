@@ -981,8 +981,6 @@ class FairNN:
             coalesce_duplicates=self._spec.coalesce_duplicates,
             sampler_name=name,
             spec=self._spec if name == self.primary else self._spec.samplers[name],
-            prefix_budget=self._spec.prefix_budget,
-            prefix_budget_cap=self._spec.prefix_budget_cap,
         )
 
     def _make_engines(self) -> None:

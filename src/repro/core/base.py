@@ -384,32 +384,13 @@ class LSHNeighborSampler(NeighborSampler):
         self._synced_epoch = epoch
         self._after_update(delta)
 
-    def sample_detailed_from_candidates(
-        self,
-        query: Point,
-        view: tuple,
-        exclude_index: Optional[int] = None,
-    ) -> Optional[QueryResult]:
-        """Answer one query from a pre-gathered candidate view, or ``None``.
-
-        *view* is the rank-sorted ``(ranks, indices)`` multiset produced by
-        :meth:`~repro.lsh.tables.LSHTables.colliding_view`.  The batch engine
-        gathers it once per query with array operations and offers it to the
-        sampler; samplers whose query procedure is a function of the colliding
-        multiset override this to skip their per-bucket Python loop.  The
-        default returns ``None``, telling the engine to fall back to
-        :meth:`sample_detailed`.  Overrides must answer with exactly the same
-        distribution as ``sample_detailed`` — this is a fast path, not a
-        different sampler.
-        """
-        return None
-
     #: Whether this sampler's single-draw answer is determined by a *rank
     #: prefix* of the colliding view: scanning candidates in increasing rank
     #: order, the query can stop at the first near point.  Samplers that set
-    #: this True must implement :meth:`sample_detailed_from_prefix`.  The
-    #: serving engine uses it to gather only the bottom-``B`` candidates by
-    #: rank instead of the full colliding multiset.
+    #: this True must implement :meth:`sample_detailed_from_prefix`.  For
+    #: samplers that are also :attr:`deterministic_queries`, the serving
+    #: engine uses it to gather only the bottom-``B`` candidates by rank
+    #: instead of the full colliding multiset.
     supports_rank_prefix_scan: bool = False
 
     def sample_detailed_from_prefix(
@@ -433,15 +414,6 @@ class LSHNeighborSampler(NeighborSampler):
         ``None`` (no prefix support).
         """
         return None
-
-    #: Whether this sampler's prefix methods need per-table metadata on the
-    #: view — per-reference probing-table ids and full per-table colliding
-    #: bucket sizes (``view.table_ids`` / ``view.table_sizes`` on a
-    #: :class:`~repro.engine.gather.PrefixView`).  Samplers that replay a
-    #: bucket-by-bucket scan (rather than a rank-ordered one) set this True
-    #: so the gather ships the metadata along; rank-ordered scanners leave it
-    #: False and keep the gather minimal.
-    prefix_scan_needs_tables: bool = False
 
     def sample_k_from_prefix(
         self,

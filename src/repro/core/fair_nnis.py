@@ -265,12 +265,13 @@ class IndependentFairSampler(LSHNeighborSampler):
     def sample_detailed_from_candidates(
         self, query: Point, view: tuple, exclude_index: Optional[int] = None
     ) -> QueryResult:
-        """Fast path over a pre-gathered rank-sorted candidate view.
+        """The rejection loop over a pre-gathered rank-sorted candidate view.
 
         The Section 4 rejection loop is a function of the colliding multiset
-        (plus fresh query-time randomness), so the batch engine can hand over
-        the view it already gathered and skip this sampler's own gather/cache
-        lookup.  Identical distribution to :meth:`sample_detailed`.
+        (plus fresh query-time randomness); given the query's full colliding
+        view this has the same distribution as :meth:`sample_detailed`.  The
+        ``s_q`` estimate always comes from the full live view
+        (:meth:`estimate_colliding_count`), not from *view*.
         """
         return self._sample_over_view(query, view, exclude_index)
 

@@ -11,13 +11,10 @@ is extreme.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
 from repro.core.base import LSHNeighborSampler
 from repro.core.result import QueryResult, QueryStats
-from repro.exceptions import InvalidParameterError
 from repro.types import Point
 from repro.registry import register_sampler
 
@@ -50,22 +47,6 @@ class StandardLSHSampler(LSHNeighborSampler):
     def deterministic_queries(self) -> bool:
         """First-found scanning is deterministic unless table order is shuffled."""
         return not self._shuffle_tables
-
-    @property
-    def supports_rank_prefix_scan(self) -> bool:
-        """Prefix replay requires the fixed 0..L-1 table visit order.
-
-        With ``shuffle_tables`` the visit order is drawn from the query RNG,
-        and a refused replay followed by a fallback would advance that RNG
-        twice — so shuffled samplers opt out of the prefix path entirely.
-        """
-        return not self._shuffle_tables
-
-    #: The classical scan consumes buckets table by table, so replaying it
-    #: from a gathered prefix needs each reference tagged with its source
-    #: table plus the true per-table bucket sizes (to certify that no probed
-    #: bucket was truncated by the rank cut).
-    prefix_scan_needs_tables = True
 
     def sample_detailed(self, query: Point, exclude_index: int = None) -> QueryResult:
         """Classical LSH query: return the first r-near colliding point found.
@@ -125,105 +106,3 @@ class StandardLSHSampler(LSHNeighborSampler):
         stats.distance_evaluations = evaluator.fresh_evaluations
         stats.kernel_calls = evaluator.kernel_calls
         return QueryResult(index=None, value=None, stats=stats)
-
-    # ------------------------------------------------------------------
-    def sample_detailed_from_prefix(
-        self, query: Point, view: tuple, complete: bool, exclude_index: Optional[int] = None
-    ) -> Optional[QueryResult]:
-        """Replay the classical scan from a rank-prefix gather, when provable.
-
-        Ranked buckets are stored sorted ascending by rank, so selecting a
-        table's references out of the (rank-sorted) gathered view restores
-        that bucket's scan order exactly.  The scan is replayed table by
-        table with the same one-kernel-call-per-bucket scoring as
-        :meth:`sample_detailed`; because ``distance_evaluations`` counts the
-        *whole* scored bucket, the replay refuses (returns ``None``) the
-        moment it reaches a bucket the rank cut truncated — scoring a partial
-        member array would diverge the counters even when the answer index
-        happens to match.  Requires the per-table metadata a
-        ``with_tables`` gather attaches (``table_ids`` / ``table_sizes``);
-        views without it are refused.
-        """
-        if self._shuffle_tables:
-            return None
-        if getattr(view, "table_ids", None) is None or view.table_sizes is None:
-            return None
-        self._check_fitted()
-        stats = QueryStats()
-        evaluator = self._evaluator(query)
-        far_limit = (
-            None
-            if self._far_point_limit_factor is None
-            else int(self._far_point_limit_factor * self.tables.num_tables)
-        )
-        far_seen = 0
-
-        _, indices = view
-        table_ids = view.table_ids
-        table_sizes = view.table_sizes
-        for table_index in range(len(table_sizes)):
-            stats.buckets_probed += 1
-            members = indices[table_ids == table_index]
-            if int(members.size) != int(table_sizes[table_index]):
-                # The rank cut truncated this bucket before the scan decided:
-                # a partial scoring would diverge the work counters.
-                return None
-            if exclude_index is not None:
-                members = members[members != exclude_index]
-            if members.size == 0:
-                continue
-            near_mask = self.measure.within_mask(evaluator.values(members), self.radius)
-            near_positions = np.flatnonzero(near_mask)
-            first_near = int(near_positions[0]) if near_positions.size else None
-            stop_position = None
-            if far_limit is not None:
-                cumulative_far = np.cumsum(~near_mask)
-                over = np.flatnonzero(far_seen + cumulative_far > far_limit)
-                stop_position = int(over[0]) if over.size else None
-            if first_near is not None and (stop_position is None or first_near < stop_position):
-                stats.candidates_examined += first_near + 1
-                stats.distance_evaluations = evaluator.fresh_evaluations
-                stats.kernel_calls = evaluator.kernel_calls
-                index = int(members[first_near])
-                return QueryResult(index=index, value=evaluator.value(index), stats=stats)
-            if stop_position is not None:
-                stats.candidates_examined += stop_position + 1
-                stats.distance_evaluations = evaluator.fresh_evaluations
-                stats.kernel_calls = evaluator.kernel_calls
-                return QueryResult(index=None, value=None, stats=stats)
-            stats.candidates_examined += int(members.size)
-            far_seen += int(members.size)
-        stats.distance_evaluations = evaluator.fresh_evaluations
-        stats.kernel_calls = evaluator.kernel_calls
-        return QueryResult(index=None, value=None, stats=stats)
-
-    def sample_k_from_prefix(
-        self,
-        query: Point,
-        view: tuple,
-        complete: bool,
-        k: int,
-        replacement: bool = True,
-    ) -> Optional[List[int]]:
-        """Answer :meth:`sample_k` from a rank-prefix view, when provable.
-
-        The classical query is deterministic (shuffling opts out of the
-        prefix path), so repeating it never finds a second point: with
-        replacement ``k`` draws all return the first-found neighbor, and
-        without replacement the seen-set of the generic
-        :meth:`~repro.core.base.NeighborSampler.sample_k` loop collapses the
-        result to at most one index.  One certified single-draw replay
-        therefore decides the whole request.
-        """
-        if k < 0:
-            raise InvalidParameterError(f"k must be non-negative, got {k}")
-        if k == 0:
-            return []
-        result = self.sample_detailed_from_prefix(query, view, complete)
-        if result is None:
-            return None
-        if result.index is None:
-            return []
-        if replacement:
-            return [int(result.index)] * k
-        return [int(result.index)]

@@ -12,8 +12,9 @@ make a batch of ``m`` queries much cheaper than ``m`` independent calls:
    tables, is paid once per batch instead of once per query.
 2. **Bounded rank-prefix gather.**  For samplers whose answer is fixed by
    a rank prefix of the colliding view
-   (:attr:`~repro.core.base.LSHNeighborSampler.supports_rank_prefix_scan`),
-   each query gathers only the bottom-``B`` colliding references by rank
+   (:attr:`~repro.core.base.LSHNeighborSampler.supports_rank_prefix_scan`)
+   and that draw no randomness at query time, each query gathers only the
+   bottom-``B`` colliding references by rank
    (:meth:`LSHTables.colliding_view(query, limit)
    <repro.lsh.tables.LSHTables.colliding_view>`) and the sampler certifies
    its answer from that prefix; queries that cannot certify escalate (×2)
@@ -28,7 +29,8 @@ make a batch of ``m`` queries much cheaper than ``m`` independent calls:
    randomness these fallback answers run in parallel chunks on a shared
    thread pool (numpy's hashing, sorting and distance kernels release the
    GIL); each answer is independent of the others, so bytes and counters
-   are the same as answering them serially.
+   are the same as answering them serially.  Samplers with query-time
+   randomness answer every query this way, serially and in batch order.
 4. **Mutation coalescing.**  ``insert``/``delete`` are forwarded to the
    attached :class:`~repro.engine.dynamic.DynamicLSHTables` and the sampler
    is re-synchronized lazily, once per batch: the tables' accumulated
@@ -173,17 +175,11 @@ class BatchQueryEngine:
         never reads it — but :func:`~repro.engine.snapshot.save_engine`
         persists it in the snapshot manifest (format v3) so artifacts stay
         self-describing.
-    prefix_budget, prefix_budget_cap:
-        Floor (and deterministic start) of the self-tuning rank-prefix
-        gather budget, and the ceiling it may widen to (see
-        :class:`~repro.engine.gather.PrefixBudgetController`).  ``None``
-        keeps the defaults (128 and 4096).
-    """
 
-    #: Default floor of the self-tuning prefix budget (``prefix_budget``).
-    _PREFIX_LIMIT = 128
-    #: Default ceiling of the self-tuning budget (``prefix_budget_cap``).
-    _PREFIX_HINT_MAX = 4096
+    The rank-prefix gather budget tunes itself between the
+    :class:`~repro.engine.gather.PrefixBudgetController` defaults (128 and
+    4096 references); it has no option.
+    """
 
     def __init__(
         self,
@@ -192,8 +188,6 @@ class BatchQueryEngine:
         coalesce_duplicates: bool = True,
         sampler_name: Optional[str] = None,
         spec=None,
-        prefix_budget: Optional[int] = None,
-        prefix_budget_cap: Optional[int] = None,
     ):
         if not getattr(sampler, "_fitted", False):
             raise NotFittedError("BatchQueryEngine requires a fitted (or attached) sampler")
@@ -227,10 +221,7 @@ class BatchQueryEngine:
         self._serial_run_lock = threading.Lock()
         # The self-tuning gather budget.  Deterministic: it starts at the
         # floor and every move is a function of the batch stream alone.
-        self._budget = PrefixBudgetController(
-            floor=self._PREFIX_LIMIT if prefix_budget is None else int(prefix_budget),
-            cap=self._PREFIX_HINT_MAX if prefix_budget_cap is None else int(prefix_budget_cap),
-        )
+        self._budget = PrefixBudgetController()
 
     # ------------------------------------------------------------------
     # Construction convenience
@@ -561,9 +552,16 @@ class BatchQueryEngine:
         return [response.index for response in self.run(list(queries))]
 
     def _use_prefix_scan(self) -> bool:
+        """Whether this batch takes the rank-prefix gather.
+
+        Needs a prefix-capable sampler without query-time randomness (its
+        answers are then certified out of batch order, in shared rounds)
+        over rank-built tables.
+        """
         tables = self.tables
         return (
             getattr(self.sampler, "supports_rank_prefix_scan", False)
+            and getattr(self.sampler, "deterministic_queries", False)
             and tables is not None
             and tables.ranks is not None
         )
@@ -587,20 +585,13 @@ class BatchQueryEngine:
 
         *keys_per_query* holds the pre-hashed per-table bucket keys of each
         distinct query (``None`` when batch hashing was skipped; keys are
-        then hashed on first use).  One prefix decision per batch:
-        capability (sampler + rank-built tables) gated by the controller's
-        regime call — on workloads whose certifying depth the controller has
-        seen blow past the cap, whole batches skip straight to the full
-        view, with periodic probes.  Prefix-eligible requests are answered
-        from the bounded gather; the rest through :meth:`_answer`.
+        then hashed on first use).  Prefix-eligible requests are answered
+        from the bounded gather (see :meth:`_use_prefix_scan`); the rest
+        through :meth:`_answer`.
         """
         tables = self.tables
         positions: List[int] = []
-        attempt = False
         if self._use_prefix_scan():
-            with self._stats_lock:
-                attempt = self._budget.attempt_prefix()
-        if attempt:
             positions = [
                 position
                 for position, request in enumerate(distinct)
@@ -624,9 +615,8 @@ class BatchQueryEngine:
         or a per-escalation dict).
         """
         colliding_view = self.tables.colliding_view
-        with_tables = getattr(self.sampler, "prefix_scan_needs_tables", False)
         return {
-            position: colliding_view(None, limit, keys_per_query[position], with_tables)
+            position: colliding_view(None, limit, keys_per_query[position])
             for position in positions
         }
 
@@ -670,38 +660,19 @@ class BatchQueryEngine:
         keys_per_query,
         positions: List[int],
     ) -> List[QueryResponse]:
-        views: Dict[int, PrefixView] = {}
         answered: Dict[int, QueryResponse] = {}
-        start_limit = self._budget.limit
-        deterministic = getattr(self.sampler, "deterministic_queries", False)
         if positions:
-            views = self._gather_prefixes(positions, keys_per_query, start_limit)
-            if deterministic:
-                answered = self._answer_prefixes_batched(
-                    positions, distinct, keys_per_query, views, start_limit
-                )
-                views = {}
-        fallback = [
-            position
-            for position in range(len(distinct))
-            if position not in answered and position not in views
-        ]
-        if deterministic and len(fallback) > 1:
+            answered = self._answer_prefixes_batched(positions, distinct, keys_per_query)
+        fallback = [position for position in range(len(distinct)) if position not in answered]
+        if getattr(self.sampler, "deterministic_queries", False) and len(fallback) > 1:
             # No query-time randomness: each answer is independent of the
             # others, so answering out of order changes no byte or counter.
             answered.update(self._answer_parallel(distinct, fallback))
-        # Everything left answers serially, in batch order: the gathers
-        # above are RNG-free and the batched/parallel paths only ran for
-        # samplers without query-time randomness, so this is the first point
-        # any sampler RNG advances.
+        # Everything left answers serially, in batch order: the prefix and
+        # parallel paths only run for samplers without query-time
+        # randomness, so this is the first point any sampler RNG advances.
         return [
-            answered[position]
-            if position in answered
-            else self._answer_prefix(
-                position, request, keys_per_query[position], views[position], start_limit
-            )
-            if position in views
-            else self._answer(position, request)
+            answered[position] if position in answered else self._answer(position, request)
             for position, request in enumerate(distinct)
         ]
 
@@ -740,23 +711,22 @@ class BatchQueryEngine:
         positions: Sequence[int],
         distinct: Sequence[QueryRequest],
         keys_per_query,
-        views: Dict[int, PrefixView],
-        start_limit: int,
     ) -> Dict[int, QueryResponse]:
-        """Escalate whole *rounds* instead of one gather per query.
+        """Certify *positions* from rank prefixes, escalating whole rounds.
 
         Only valid for samplers without query-time randomness: their answers
         are pure functions of the (provably exact) prefix view, so queries
         can be certified out of batch order and every query that refuses to
         certify at the current limit joins one shared widened gather round
         (×2 budget).  A position whose *complete* view still would not
-        certify is left out of the result and takes the full-view fallback
-        in batch order.  The batch's per-round certification profile feeds
-        the budget controller.
+        certify is left out of the result and takes the full-view fallback.
+        The batch's per-round certification profile feeds the budget
+        controller.
         """
         answered: Dict[int, QueryResponse] = {}
         pending = list(positions)
-        limit = start_limit
+        start_limit = limit = self._budget.limit
+        views = self._gather_prefixes(pending, keys_per_query, limit)
         certified_per_round: List[Tuple[int, int]] = []
         scans = 1
         while pending:
@@ -785,58 +755,11 @@ class BatchQueryEngine:
             self._budget.observe_batch(certified_per_round, start_limit)
         return answered
 
-    def _answer_prefix(
-        self,
-        position: int,
-        request: QueryRequest,
-        keys: List[Hashable],
-        view: PrefixView,
-        start_limit: int,
-    ) -> QueryResponse:
-        """Serial prefix loop for one query (samplers with query-time RNG)."""
-        limit = start_limit
-        scans = 1
-        while True:
-            response = self._certify_prefix(position, request, view)
-            if response is not None:
-                with self._stats_lock:
-                    self.stats.prefix_scans += 1
-                    self.stats.prefix_escalations += scans - 1
-                    if scans > 1:
-                        self._budget.observe_escalation(limit)
-                return response
-            if view.complete:
-                # Even the full view would not certify (a prefix-capable
-                # sampler keeping the base refusal): take the full-view
-                # fallback rather than escalating forever.
-                break
-            limit *= 2
-            scans += 1
-            view = self._gather_prefixes([position], {position: keys}, limit)[position]
-        return self._answer(position, request)
-
     def _answer(self, position: int, request: QueryRequest) -> QueryResponse:
         if request.k == 1:
-            result = None
-            tables = self.tables
-            has_fast_path = (
-                isinstance(self.sampler, LSHNeighborSampler)
-                and type(self.sampler).sample_detailed_from_candidates
-                is not LSHNeighborSampler.sample_detailed_from_candidates
+            result = self.sampler.sample_detailed(
+                request.query, exclude_index=request.exclude_index
             )
-            if has_fast_path and tables is not None and tables.ranks is not None:
-                # Candidate-gathering stage: hand the sampler the rank-sorted
-                # colliding multiset, assembled with array operations; samplers
-                # without a view-based fast path return None and fall through.
-                result = self.sampler.sample_detailed_from_candidates(
-                    request.query,
-                    tables.colliding_view(request.query),
-                    exclude_index=request.exclude_index,
-                )
-            if result is None:
-                result = self.sampler.sample_detailed(
-                    request.query, exclude_index=request.exclude_index
-                )
             return self._detailed_response(position, result)
         indices = self.sampler.sample_k(request.query, request.k, replacement=request.replacement)
         return QueryResponse(

@@ -25,15 +25,10 @@ queries from two primitives, defined here:
   certification counts, so the same batch stream always produces the
   **same budget sequence**.
 
-For samplers that replay a *per-bucket* scan rather than a rank-ordered one
-(:class:`~repro.core.standard_lsh.StandardLSHSampler`), the gather can also
-carry per-reference table ids and per-table bucket sizes
-(``with_tables=True``).  Because the kept multiset is downward-closed in
-rank at every cut stage, each probed bucket's surviving members form a rank
-prefix of that bucket in scan order, and a bucket whose surviving count
-equals its full (liveness-filtered) size is provably complete — the sampler
-can replay its exact bucket-by-bucket scan on complete buckets and refuse
-the moment it reaches a truncated one.
+Only samplers whose answer is a rank-ordered scan without query-time
+randomness take this path (Section 3's
+:class:`~repro.core.fair_nns.PermutationFairSampler`); every other sampler
+answers from the full colliding view.
 """
 
 from __future__ import annotations
@@ -55,8 +50,8 @@ class PrefixView(tuple):
     """A rank-sorted candidate prefix, unpackable as ``(ranks, indices)``.
 
     Subclasses :class:`tuple` so every consumer of the bare ``(ranks,
-    indices)`` view shape works unchanged; the completeness flag and the
-    optional per-table metadata ride along as attributes:
+    indices)`` view shape works unchanged; the completeness flag rides along
+    as an attribute:
 
     Attributes
     ----------
@@ -66,61 +61,30 @@ class PrefixView(tuple):
     complete:
         Whether nothing was truncated, i.e. the view *is* the full
         colliding view.
-    table_ids:
-        Per-reference probing table index (aligned with ``indices``), or
-        ``None`` when the gather ran without table metadata.
-    table_sizes:
-        Per-table full (liveness-filtered, pre-exclusion) colliding bucket
-        sizes, or ``None``.  A bucket whose members
-        appear ``table_sizes[t]`` times in the view is provably complete.
     """
 
     ranks: np.ndarray
     indices: np.ndarray
     complete: bool
-    table_ids: Optional[np.ndarray]
-    table_sizes: Optional[np.ndarray]
 
     def __new__(
-        cls,
-        ranks: np.ndarray,
-        indices: np.ndarray,
-        table_ids: Optional[np.ndarray] = None,
-        table_sizes: Optional[np.ndarray] = None,
-        complete: bool = True,
+        cls, ranks: np.ndarray, indices: np.ndarray, complete: bool = True
     ) -> "PrefixView":
         view = super().__new__(cls, (ranks, indices))
         view.ranks = ranks
         view.indices = indices
         view.complete = complete
-        view.table_ids = table_ids
-        view.table_sizes = table_sizes
         return view
 
-    @classmethod
-    def empty(cls, num_tables: Optional[int] = None) -> "PrefixView":
-        """The empty (complete) view, with zeroed table sizes when asked."""
-        return cls(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.intp),
-            table_ids=None if num_tables is None else np.empty(0, dtype=np.int64),
-            table_sizes=None if num_tables is None else np.zeros(num_tables, dtype=np.int64),
-        )
 
-
-def bounded_prefix(
-    tables, keys, limit: Optional[int], with_tables: bool = False
-) -> PrefixView:
+def bounded_prefix(tables, keys, limit: Optional[int]) -> PrefixView:
     """The bottom-*limit* rank prefix of a table set's colliding multiset.
 
     *tables* is any rank-built :class:`~repro.lsh.tables.LSHTables` and
     *keys* its per-table bucket keys for one query.  Returns the
     liveness-filtered colliding references in ascending rank order; with a
     *limit*, only a true rank prefix of them, flagged ``complete=False``
-    when anything was cut (``limit=None`` keeps the whole multiset).  With
-    ``with_tables`` the view also carries per-reference table ids and
-    ``table_sizes[t]``, the full liveness-filtered size of the bucket in
-    table ``t`` (before any truncation).
+    when anything was cut (``limit=None`` keeps the whole multiset).
 
     The bounded cost comes from the :class:`~repro.lsh.tables.Bucket`
     invariant that ranked buckets are stored sorted ascending by rank:
@@ -135,17 +99,13 @@ def bounded_prefix(
     References at the truncation boundary rank itself may have been cut,
     so a truncated slice is cut again strictly below that boundary, after
     which every surviving reference is provably present; a stable sort
-    restores ascending rank order.  Every cut stage keeps a downward-closed
-    set of ranks, which is what makes the per-bucket completeness
-    accounting of ``with_tables`` sound.
+    restores ascending rank order.
     """
     alive = tables._alive if getattr(tables, "_pending", None) else None
     rank_parts: List[np.ndarray] = []
     index_parts: List[np.ndarray] = []
-    table_parts: List[np.ndarray] = []
-    table_sizes = np.zeros(len(keys), dtype=np.int64) if with_tables else None
     truncated = False
-    for table_index, (table, key) in enumerate(zip(tables._tables, keys)):
+    for table, key in zip(tables._tables, keys):
         bucket = table.get(key)
         if bucket is None or not len(bucket):
             continue
@@ -158,29 +118,20 @@ def bounded_prefix(
                 indices = indices[keep]
                 if not ranks.size:
                     continue
-        if with_tables:
-            table_sizes[table_index] = ranks.size
         if limit is not None and ranks.size > limit:
             truncated = True
             ranks = ranks[:limit]
             indices = indices[:limit]
         rank_parts.append(ranks)
         index_parts.append(indices)
-        if with_tables:
-            table_parts.append(np.full(ranks.size, table_index, dtype=np.int64))
     if not rank_parts:
-        return PrefixView.empty(len(keys) if with_tables else None)
+        return PrefixView(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp))
     ranks = np.concatenate(rank_parts) if len(rank_parts) > 1 else rank_parts[0]
     indices = np.concatenate(index_parts) if len(index_parts) > 1 else index_parts[0]
-    table_ids = None
-    if with_tables:
-        table_ids = np.concatenate(table_parts) if len(table_parts) > 1 else table_parts[0]
     if limit is not None and ranks.size > limit:
         keep = np.argpartition(ranks, limit - 1)[:limit]
         ranks = ranks[keep]
         indices = indices[keep]
-        if with_tables:
-            table_ids = table_ids[keep]
         truncated = True
     if truncated:
         # Every bucket tail dropped above had >= limit smaller ranks ahead
@@ -189,16 +140,8 @@ def bounded_prefix(
         keep = ranks < ranks.max()
         ranks = ranks[keep]
         indices = indices[keep]
-        if with_tables:
-            table_ids = table_ids[keep]
     order = np.argsort(ranks, kind="stable")
-    return PrefixView(
-        ranks[order],
-        indices[order],
-        table_ids=None if table_ids is None else table_ids[order],
-        table_sizes=table_sizes,
-        complete=not truncated,
-    )
+    return PrefixView(ranks[order], indices[order], complete=not truncated)
 
 
 class PrefixBudgetController:
@@ -221,14 +164,8 @@ class PrefixBudgetController:
     *probe_every*-th tuned batch, probe one step down regardless, so
     long-running serving tracks workload drift back down as well as up.  A
     probe that undershoots costs one batch a cheap escalation round, and the
-    quantile pick recovers the depth next batch.
-
-    The controller also knows when *not* to prefix: a batch whose quantile
-    depth lands beyond :attr:`cap` marks the regime hopeless (the prefix
-    path would escalate for a fixed fraction of every batch, forever) and
-    switches attempts off entirely — :meth:`attempt_prefix` then lets one
-    probe batch through every *probe_every* batches so the decision stays
-    reversible under workload drift.
+    quantile pick recovers the depth next batch.  The opening budget never
+    leaves ``[floor, cap]``.
 
     Every move is a deterministic function of per-round ``(limit,
     certified_count)`` pairs — counts, not orderings — so the same batch
@@ -259,10 +196,6 @@ class PrefixBudgetController:
         self.limit = self._clamp(self.floor if start is None else int(start))
         #: Batches that certified at least one query (the probe-down clock).
         self.batches_tuned = 0
-        #: Whether the prefix path is switched off for this workload regime
-        #: (certifying depth beyond :attr:`cap` — see :meth:`observe_batch`).
-        self.disabled = False
-        self._disabled_batches = 0
 
     def _clamp(self, value: int) -> int:
         return min(max(int(value), self.floor), self.cap)
@@ -284,7 +217,6 @@ class PrefixBudgetController:
         if len(certified_per_round) == 1:
             # The whole batch certified at the opening budget: probe down.
             tuned = max(int(opening) // 2, self.floor)
-            self.disabled = False
         else:
             cumulative = 0
             tuned = certified_per_round[-1][0]
@@ -293,40 +225,9 @@ class PrefixBudgetController:
                 if cumulative * 8 >= total * 7:
                     tuned = round_limit
                     break
-            if tuned > self.cap:
-                # The workload's certifying depth lives beyond the cap —
-                # e.g. classical bucket replay over buckets far larger than
-                # any sane budget.  Opening at the (clamped) cap would drag
-                # >= 1/8 of every future batch through escalation rounds
-                # forever, strictly worse than the merged-bucket path those
-                # queries end on anyway.  Switch the prefix path off; the
-                # probe clock (:meth:`attempt_prefix`) keeps re-testing the
-                # regime so a workload shift can switch it back on.
-                self.disabled = True
-                self._disabled_batches = 0
-            else:
-                self.disabled = False
-                if self.batches_tuned % self.probe_every == 0:
-                    tuned = max(tuned // 2, self.floor)
+            if self.batches_tuned % self.probe_every == 0:
+                tuned = max(tuned // 2, self.floor)
         self.limit = self._clamp(tuned)
-
-    def attempt_prefix(self) -> bool:
-        """Whether the next batch should try the prefix path at all.
-
-        ``True`` whenever the controller is enabled.  While disabled, every
-        *probe_every*-th batch still returns ``True`` — a probe batch whose
-        certification profile lets :meth:`observe_batch` re-evaluate the
-        regime — and the rest skip straight to the merged-bucket path.
-        Call exactly once per batch: the skip clock advances on each call.
-        """
-        if not self.disabled:
-            return True
-        self._disabled_batches += 1
-        return self._disabled_batches % self.probe_every == 0
-
-    def observe_escalation(self, certified_limit: int) -> None:
-        """Raise the opening budget to a depth a serial escalation needed."""
-        self.limit = self._clamp(max(self.limit, int(certified_limit)))
 
     def state_dict(self) -> dict:
         """The controller's full state (test/diagnostic surface)."""
@@ -336,6 +237,4 @@ class PrefixBudgetController:
             "floor": self.floor,
             "cap": self.cap,
             "probe_every": self.probe_every,
-            "disabled": self.disabled,
-            "disabled_batches": self._disabled_batches,
         }

@@ -562,8 +562,6 @@ def _load_engine(
         coalesce_duplicates=bool(manifest["coalesce_duplicates"]),
         sampler_name=manifest.get("sampler_name"),
         spec=spec,
-        prefix_budget=getattr(spec, "prefix_budget", None),
-        prefix_budget_cap=getattr(spec, "prefix_budget_cap", None),
     )
     engine.stats = EngineStats.from_dict(manifest["stats"])
     return engine

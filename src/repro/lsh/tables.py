@@ -460,7 +460,6 @@ class LSHTables:
         query: Point,
         limit: Optional[int] = None,
         keys: Optional[List[Hashable]] = None,
-        with_tables: bool = False,
     ):
         """Rank-sorted ``(ranks, indices)`` of the points colliding with *query*.
 
@@ -478,9 +477,7 @@ class LSHTables:
         Returns a :class:`~repro.engine.gather.PrefixView`, which unpacks as
         the bare ``(ranks, indices)`` tuple and whose ``complete`` flag says
         whether the view is the whole colliding multiset.  *keys* are
-        optional pre-computed per-table bucket keys; *with_tables* attaches
-        per-reference table ids and full per-table bucket sizes, for
-        samplers that replay a bucket-by-bucket scan.
+        optional pre-computed per-table bucket keys.
         """
         # Deferred: repro.engine imports this module.
         from repro.engine.gather import bounded_prefix
@@ -492,7 +489,7 @@ class LSHTables:
             raise InvalidParameterError(f"limit must be >= 1, got {limit}")
         if keys is None:
             keys = self.query_keys(query)
-        return bounded_prefix(self, keys, limit, with_tables=with_tables)
+        return bounded_prefix(self, keys, limit)
 
     def rank_range_candidates(self, query: Point, lo: int, hi: int) -> np.ndarray:
         """Unique colliding indices with rank in ``[lo, hi)`` (Section 4, step 3b)."""

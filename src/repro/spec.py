@@ -314,11 +314,6 @@ class EngineSpec(_JsonRoundTrip):
         ``backend="remote"`` serves the corpus out-of-core from a format-v5
         snapshot.  Persisted in snapshots so checkpoints and
         :meth:`~repro.api.FairNN.recover` come back on the same tier.
-    prefix_budget, prefix_budget_cap:
-        Opening total rank-prefix gather budget of every engine and the
-        ceiling the self-tuning controller may widen it to (see
-        :class:`~repro.engine.gather.PrefixBudgetController`).  ``None``
-        (the default) keeps the engine defaults.
     """
 
     samplers: Dict[str, SamplerSpec] = field(default_factory=dict)
@@ -329,8 +324,6 @@ class EngineSpec(_JsonRoundTrip):
     coalesce_duplicates: bool = True
     wal_fsync: str = "interval"
     store: Optional[StoreSpec] = None
-    prefix_budget: Optional[int] = None
-    prefix_budget_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.samplers, Mapping) or not self.samplers:
@@ -363,23 +356,6 @@ class EngineSpec(_JsonRoundTrip):
                     f"EngineSpec.store must be a StoreSpec, backend name, or None, "
                     f"got {type(self.store).__name__}"
                 )
-        for knob in ("prefix_budget", "prefix_budget_cap"):
-            value = getattr(self, knob)
-            if value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InvalidParameterError(
-                    f"EngineSpec.{knob} must be an int >= 1 or None, got {value!r}"
-                )
-        if (
-            self.prefix_budget is not None
-            and self.prefix_budget_cap is not None
-            and self.prefix_budget_cap < self.prefix_budget
-        ):
-            raise InvalidParameterError(
-                "EngineSpec.prefix_budget_cap must be >= prefix_budget, got "
-                f"{self.prefix_budget_cap} < {self.prefix_budget}"
-            )
 
     # ------------------------------------------------------------------
     @property
@@ -405,24 +381,29 @@ class EngineSpec(_JsonRoundTrip):
             "coalesce_duplicates": self.coalesce_duplicates,
             "wal_fsync": self.wal_fsync,
             "store": None if self.store is None else self.store.to_dict(),
-            "prefix_budget": self.prefix_budget,
-            "prefix_budget_cap": self.prefix_budget_cap,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineSpec":
         """Reconstruct a spec from :meth:`to_dict` output (validated).
 
-        Dicts persisted before table sharding was removed may still carry
-        its three keys; they load when each holds the unsharded default, and
-        raise :class:`~repro.exceptions.InvalidParameterError` otherwise.
+        Dicts persisted before table sharding and the prefix-budget options
+        were removed may still carry their keys; they load when each holds
+        its old default (``None`` for the budgets), and raise
+        :class:`~repro.exceptions.InvalidParameterError` otherwise.
         """
-        legacy = {"n_shards": 1, "placement": "round_robin", "executor": "thread"}
+        legacy = {
+            "n_shards": 1,
+            "placement": "round_robin",
+            "executor": "thread",
+            "prefix_budget": None,
+            "prefix_budget_cap": None,
+        }
         for key, default in legacy.items():
             if key in data and data[key] != default:
                 raise InvalidParameterError(
-                    f"EngineSpec no longer supports {key}={data[key]!r}: table "
-                    f"sharding was removed, only the default {default!r} loads"
+                    f"EngineSpec no longer supports {key}={data[key]!r}: the "
+                    f"option was removed, only the default {default!r} loads"
                 )
         _reject_unknown_keys(
             data,
@@ -436,8 +417,6 @@ class EngineSpec(_JsonRoundTrip):
                 *legacy,
                 "wal_fsync",
                 "store",
-                "prefix_budget",
-                "prefix_budget_cap",
             ),
             "EngineSpec",
         )
@@ -456,14 +435,6 @@ class EngineSpec(_JsonRoundTrip):
                 None
                 if data.get("store") is None
                 else StoreSpec.from_dict(data["store"])
-            ),
-            prefix_budget=(
-                None if data.get("prefix_budget") is None else int(data["prefix_budget"])
-            ),
-            prefix_budget_cap=(
-                None
-                if data.get("prefix_budget_cap") is None
-                else int(data["prefix_budget_cap"])
             ),
         )
 

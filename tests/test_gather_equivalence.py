@@ -4,9 +4,9 @@ Three layers of guarantees for :mod:`repro.engine.gather` and the query
 loop of :class:`~repro.engine.batch.BatchQueryEngine`:
 
 1. **Primitive correctness** — :func:`~repro.engine.gather.bounded_prefix`
-   produces true, certified rank prefixes (with sound per-table
-   completeness metadata), and :class:`~repro.engine.gather.PrefixView`
-   stays unpackable as the bare ``(ranks, indices)`` tuple.
+   produces true, certified rank prefixes, and
+   :class:`~repro.engine.gather.PrefixView` stays unpackable as the bare
+   ``(ranks, indices)`` tuple.
 2. **Controller determinism** — :class:`~repro.engine.gather.
    PrefixBudgetController` is a pure, order-insensitive function of the
    per-round certification counts: injectable state, exact tuning moves,
@@ -14,9 +14,11 @@ loop of :class:`~repro.engine.batch.BatchQueryEngine`:
 3. **Parallel-fallback parity** — for the same batch stream, the engine
    returns the sampler's own full-view answers byte for byte, and answering
    fallback queries in parallel chunks moves no answer, no counter and no
-   controller state, for single draws, ``k``-draws and the
-   bucket-replaying standard-LSH sampler alike.  A store with a block cache
-   is answered serially, so its cache counters stay order-independent.
+   controller state, for single draws, ``k``-draws and the standard-LSH
+   sampler (which always answers from the full view) alike.  Samplers with
+   query-time randomness answer from the full view in batch order.  A store
+   with a block cache is answered serially, so its cache counters stay
+   order-independent.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.exceptions import InvalidParameterError
 from repro.spec import LSHSpec, SamplerSpec
 from repro.store import LocalBlockClient
 
-from repro import EngineSpec, FairNN, MinHashFamily, registry
+from repro import MinHashFamily, registry
 from repro.core import StandardLSHSampler
 
 SET_PARAMS = {"radius": 0.35, "far_radius": 0.1, "num_hashes": 2, "num_tables": 8}
@@ -48,9 +50,8 @@ def _make_sampler(name, seed=7):
 def _build_sampler(name, seed=7):
     """Like ``_make_sampler`` but rank-enabled for standard LSH.
 
-    The classical sampler does not need ranks to answer, but only tables
-    built *with* ranks expose the bounded rank-prefix gather — the serving
-    configuration under test here.
+    The classical sampler does not need ranks to answer; over rank-built
+    tables it must still skip the bounded rank-prefix gather.
     """
     if name == "standard_lsh":
         return StandardLSHSampler(MinHashFamily(), seed=seed, use_ranks=True, **SET_PARAMS)
@@ -107,14 +108,7 @@ class TestGatherPrimitives:
         unpacked_ranks, unpacked_indices = view
         assert unpacked_ranks is ranks and unpacked_indices is indices
         assert isinstance(view, tuple) and len(view) == 2
-        assert view.table_ids is None and view.table_sizes is None
-
-    def test_empty_view_carries_zeroed_table_sizes_when_asked(self):
-        bare = PrefixView.empty()
-        assert bare.ranks.size == 0 and bare.table_sizes is None
-        tabled = PrefixView.empty(num_tables=5)
-        assert tabled.table_ids.size == 0
-        assert np.array_equal(tabled.table_sizes, np.zeros(5, dtype=np.int64))
+        assert view.complete
 
     def test_bounded_gather_is_a_true_certified_prefix(self, hub_dataset):
         tables, _ = build_tables(_make_sampler("permutation"), hub_dataset)
@@ -137,31 +131,6 @@ class TestGatherPrimitives:
                 assert ranks.size < limit
                 assert full_ranks[ranks.size] > (ranks[-1] if ranks.size else -1)
         assert bounded_prefix(tables, keys, None).complete
-
-    def test_with_tables_metadata_accounts_per_bucket_completeness(self, hub_dataset):
-        tables, _ = build_tables(_build_sampler("standard_lsh"), hub_dataset)
-        query = hub_dataset[0]
-        keys = tables.query_keys(query)
-        view = tables.colliding_view(None, 10_000, keys=keys, with_tables=True)
-        assert view.complete
-        # At a generous limit every bucket survives whole: the per-table
-        # reference counts must equal the recorded full bucket sizes, which
-        # in turn must equal the buckets' actual sizes.
-        buckets = tables.query_buckets(query)
-        for table_index in range(tables.num_tables):
-            in_view = int(np.count_nonzero(view.table_ids == table_index))
-            assert in_view == int(view.table_sizes[table_index])
-            assert in_view == len(buckets[table_index])
-        # Two references per table: far below this query's multiset.
-        truncated = tables.colliding_view(None, 2, keys=keys, with_tables=True)
-        assert not truncated.complete
-        # Truncation may only ever *shrink* a bucket's surviving count, and
-        # the recorded full sizes must not change.
-        assert np.array_equal(truncated.table_sizes, view.table_sizes)
-        for table_index in range(tables.num_tables):
-            in_view = int(np.count_nonzero(truncated.table_ids == table_index))
-            assert in_view <= int(truncated.table_sizes[table_index])
-
 
 # ----------------------------------------------------------------------
 class TestPrefixBudgetController:
@@ -214,35 +183,6 @@ class TestPrefixBudgetController:
         controller.observe_batch(rounds, opening=128)  # 4th tuned batch
         assert controller.limit == 128
         assert controller.batches_tuned == 4
-
-    def test_escalation_raises_to_certified_depth_clamped(self):
-        controller = PrefixBudgetController(floor=128, cap=4096, start=256)
-        controller.observe_escalation(1024)
-        assert controller.limit == 1024
-        controller.observe_escalation(512)  # never lowers
-        assert controller.limit == 1024
-        controller.observe_escalation(1 << 20)
-        assert controller.limit == 4096
-
-    def test_demand_beyond_cap_disables_prefix_attempts(self):
-        controller = PrefixBudgetController(floor=128, cap=4096, probe_every=4)
-        assert controller.attempt_prefix()
-        # 7/8 of the batch only certified at 8192 — beyond the cap, so the
-        # prefix path would escalate for most queries of every future batch.
-        controller.observe_batch([(128, 1), (8192, 30)], opening=128)
-        assert controller.disabled
-        assert controller.limit == 4096  # clamped, for the probe batches
-        # The skip clock lets one probe batch through every probe_every.
-        assert [controller.attempt_prefix() for _ in range(8)] == (
-            [False, False, False, True] * 2
-        )
-        # A probe still finding beyond-cap depth stays disabled...
-        controller.observe_batch([(4096, 2), (16384, 30)], opening=4096)
-        assert controller.disabled
-        # ... while a healthy probe re-enables immediately.
-        controller.observe_batch([(4096, 30)], opening=4096)
-        assert not controller.disabled
-        assert controller.attempt_prefix()
 
     def test_replay_determinism_via_state_dict(self):
         stream = [
@@ -386,8 +326,12 @@ class TestExecutorGatherEquivalence:
         for answers, _, counters in (serial, parallel):
             for ref_batch, served in zip(reference, answers):
                 _assert_identical(ref_batch, served)
-            # The gather did most of the answering.
-            assert counters["prefix_scans"] > 0
+            if sampler_name == "permutation":
+                # The gather did most of the answering.
+                assert counters["prefix_scans"] > 0
+            else:
+                # Standard LSH has no rank-ordered scan: the full view answers.
+                assert counters["prefix_scans"] == 0
         # Answering the fallback in parallel moves no budget and no counter.
         assert serial[1] == parallel[1]
         assert serial[2] == parallel[2]
@@ -477,12 +421,9 @@ class TestExecutorGatherEquivalence:
         to the full view once the prefix is complete, not escalate forever."""
 
         class FlaggedWithoutOverride(StandardLSHSampler):
-            # Declare the capability but strip the real prefix replayers back
-            # to the base always-refuse implementations.
+            # Declare the capability over the base always-refuse
+            # sample_detailed_from_prefix / sample_k_from_prefix.
             supports_rank_prefix_scan = True
-            prefix_scan_needs_tables = False
-            sample_detailed_from_prefix = LSHNeighborSampler.sample_detailed_from_prefix
-            sample_k_from_prefix = LSHNeighborSampler.sample_k_from_prefix
 
         sampler = FlaggedWithoutOverride(MinHashFamily(), seed=7, use_ranks=True, **SET_PARAMS)
         engine = BatchQueryEngine.build(sampler, hub_dataset)
@@ -490,54 +431,41 @@ class TestExecutorGatherEquivalence:
         assert len(responses) == 5
         assert engine.stats.prefix_scans == 0  # nothing certified via prefix
 
-    def test_disabled_controller_routes_batches_to_merged_buckets(self, hub_dataset):
-        """A disabled regime skips the prefix path wholesale — and probes back.
+    def test_prefix_flag_with_query_randomness_answers_full_view_in_order(
+        self, hub_dataset, parallel_fallback
+    ):
+        """A prefix-capable sampler that draws randomness per query never
+        takes the prefix path: every request is answered from the full view,
+        serially and in batch order, so its RNG advances exactly as in
+        direct calls."""
+        prefix_calls = []
 
-        Answers must stay byte-identical either way (the full-view path is
-        the reference semantics); only the counters may move.
-        """
-        reference = BatchQueryEngine.build(
-            _make_sampler("permutation"), hub_dataset
-        ).run(list(hub_dataset[:10]))
-        engine = BatchQueryEngine.build(_make_sampler("permutation"), hub_dataset)
-        engine._budget.disabled = True
-        # probe_every=4: three straight batches skip the prefix path...
-        for _ in range(3):
-            _assert_identical(reference, engine.run(list(hub_dataset[:10])))
+        class RandomizedPrefixFlag(StandardLSHSampler):
+            supports_rank_prefix_scan = True
+
+            def sample_detailed_from_prefix(self, *args, **kwargs):
+                prefix_calls.append(1)
+                return None
+
+        def make():
+            return RandomizedPrefixFlag(
+                MinHashFamily(), seed=7, use_ranks=True, shuffle_tables=True, **SET_PARAMS
+            )
+
+        calls = parallel_fallback(True)
+        engine = BatchQueryEngine.build(make(), hub_dataset)
+        assert not engine.sampler.deterministic_queries
+        assert engine.tables.ranks is not None
+        reference = make()
+        tables, bound = build_tables(reference, hub_dataset)
+        reference.attach(tables, bound)
+        for requests in _batch_stream(hub_dataset):
+            _assert_identical(
+                _reference_responses(reference, engine.sampler_name, requests),
+                engine.run(list(requests)),
+            )
+        assert prefix_calls == [] and calls == []
         assert engine.stats.prefix_scans == 0
-        # ... and the fourth is a probe: this workload certifies within the
-        # cap, so the controller switches the prefix path back on.
-        _assert_identical(reference, engine.run(list(hub_dataset[:10])))
-        assert engine.stats.prefix_scans > 0
-        assert not engine._budget.disabled
-        _assert_identical(reference, engine.run(list(hub_dataset[:10])))
-
-    def test_configured_budget_seeds_the_controller(self, hub_dataset):
-        built = BatchQueryEngine.build(_make_sampler("permutation"), hub_dataset)
-        engine = BatchQueryEngine(built.sampler, prefix_budget=256, prefix_budget_cap=512)
-        assert engine._budget.limit == 256
-        assert engine._budget.cap == 512
-        with pytest.raises(InvalidParameterError):
-            BatchQueryEngine(built.sampler, prefix_budget=512, prefix_budget_cap=256)
-
-    def test_spec_budget_reaches_the_unsharded_engine(self, hub_dataset, tmp_path):
-        spec = EngineSpec(
-            samplers={"fair": SamplerSpec("permutation", SET_PARAMS, lsh=LSHSpec("minhash"))},
-            prefix_budget=256,
-            prefix_budget_cap=512,
-        )
-        served = FairNN.from_spec(spec).serve(list(hub_dataset))
-        engine = served.engine()
-        assert type(engine) is BatchQueryEngine
-        assert engine._budget.limit == 256 and engine._budget.cap == 512
-        assert engine.stats_dict()["counters"]["prefix_budget"] == 256
-        served.run(list(hub_dataset[:12]))
-        assert engine.stats.prefix_scans > 0
-        # ... and survives a snapshot round trip.
-        served.save(tmp_path / "snap")
-        loaded = FairNN.load(tmp_path / "snap").engine()
-        assert loaded._budget.floor == 256 and loaded._budget.cap == 512
-
 
 # ----------------------------------------------------------------------
 class TestBoundedCollidingView:
@@ -556,7 +484,8 @@ class TestBoundedCollidingView:
             dynamic=dynamic,
             max_tombstone_fraction=0.9,
         )
-        return BatchQueryEngine(engine.sampler, prefix_budget=4, prefix_budget_cap=64)
+        engine._budget = PrefixBudgetController(floor=4, cap=64)
+        return engine
 
     @staticmethod
     def _assert_prefixes_of_full_view(tables, query):

@@ -251,6 +251,18 @@ class TestSpecRoundTrip:
             with pytest.raises(InvalidParameterError, match=key):
                 EngineSpec.from_dict({**spec.to_dict(), key: value})
 
+    def test_engine_spec_loads_legacy_budget_keys_only_when_null(self):
+        """Spec dicts persisted while the prefix budget was an option carry
+        its two keys as null; those load, a set budget is refused by name."""
+        fair = CANONICAL_SPECS["permutation"][0]
+        spec = EngineSpec(samplers={"a": fair})
+        legacy = {**spec.to_dict(), "prefix_budget": None, "prefix_budget_cap": None}
+        assert EngineSpec.from_dict(legacy) == spec
+        assert "prefix_budget" not in spec.to_dict()
+        for key in ("prefix_budget", "prefix_budget_cap"):
+            with pytest.raises(InvalidParameterError, match=key):
+                EngineSpec.from_dict({**spec.to_dict(), key: 256})
+
     def test_sampler_spec_drops_legacy_sketch_min_bucket(self):
         """Section 4 spec dicts persisted while a sketch was stored per
         bucket name its size cutoff; they load, and build, without it."""
