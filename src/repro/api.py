@@ -41,16 +41,16 @@ import shutil
 import threading
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.base import LSHNeighborSampler, NeighborSampler
 from repro.engine.batch import BatchQueryEngine, build_tables
-from repro.engine.dynamic import DynamicLSHTables
+from repro.engine.dynamic import DynamicLSHTables, ReplayRun
 from repro.engine.requests import EngineStats, QueryRequest, QueryResponse
 from repro.engine.snapshot import load_engine, save_engine
-from repro.engine.wal import WriteAheadLog
+from repro.engine.wal import WALRecord, WriteAheadLog
 from repro.exceptions import (
     AlreadyDeletedError,
     InvalidParameterError,
@@ -714,12 +714,14 @@ class FairNN:
         Loads the newest checkpoint that passes validation (a checkpoint
         that raises :class:`~repro.exceptions.SnapshotCorruptError` falls
         back to the previous one), then replays every WAL record past that
-        checkpoint's position.  Because checkpoints persist the mutation
-        RNG stream, replaying the logical ops re-draws the same ranks the
-        live engine drew — the recovered facade serves **byte-identical**
-        answers to one that never crashed.  A torn final WAL record (the
-        residue of dying mid-append) is truncated, matching the crashed
-        process, where that mutation was never applied.
+        checkpoint's position, in bulk runs that end in the state the
+        records applied one at a time leave (see
+        :class:`~repro.engine.dynamic.ReplayRun`).  Because checkpoints
+        persist the mutation RNG stream, replaying the logical ops re-draws
+        the same ranks the live engine drew — the recovered facade serves
+        **byte-identical** answers to one that never crashed.  A torn final
+        WAL record (the residue of dying mid-append) is truncated, matching
+        the crashed process, where that mutation was never applied.
 
         Idempotency keys ride inside WAL records, so the replay also
         restores the retry-dedup window: a client retrying a mutation whose
@@ -765,18 +767,7 @@ class FairNN:
             if fsync is not None:
                 facade._spec = replace(facade._spec, wal_fsync=fsync)
             wal = WriteAheadLog.open(data_dir / "wal", fsync=facade._spec.wal_fsync)
-            replayed = 0
-            for record in wal.replay(after_seq=position - 1):
-                payload = record.payload
-                try:
-                    result = facade._apply_logged(payload)
-                except (SlotOutOfRangeError, AlreadyDeletedError):
-                    # The pre-crash apply of this record failed the same
-                    # validation after it was journaled; skipping reproduces
-                    # the pre-crash state exactly.
-                    continue
-                facade._idempotency_remember(payload.get("key"), result)
-                replayed += 1
+            replayed = facade._replay(wal.replay(after_seq=position - 1))
         except Exception:
             facade.close()
             raise
@@ -863,21 +854,39 @@ class FairNN:
         if self._wal is not None:
             self._wal.append(payload)
 
-    def _apply_logged(self, payload: Dict):
-        """Apply one journaled mutation without re-journaling it (replay path)."""
+    def _replay(self, records: Iterable[WALRecord]) -> int:
+        """Apply journaled mutations without re-journaling them; returns the count.
+
+        Records are applied in bulk runs (:class:`~repro.engine.dynamic.ReplayRun`),
+        which end in exactly the state the records applied one at a time
+        leave.  A delete whose pre-crash apply failed validation after it
+        was journaled is skipped, as the crashed process skipped it.  The
+        last run is applied after *records* is exhausted.
+        """
         tables = self._require_dynamic()
+        run, replayed = ReplayRun(tables), 0
+        for record in records:
+            while not self._admit(run, record.payload):
+                replayed += self._apply_run(run)
+                run = ReplayRun(tables)  # an empty run takes any record
+        return replayed + self._apply_run(run)
+
+    @staticmethod
+    def _admit(run: ReplayRun, payload: Dict) -> bool:
         op = payload.get("op")
         if op == "insert":
-            indices = tables.insert_many(list(payload["points"]))
-            for engine in self._engines.values():
-                engine.note_external_mutation(inserts=len(indices))
-            return list(indices)
+            return run.insert(list(payload["points"]), payload.get("key"))
         if op == "delete":
-            tables.delete(int(payload["index"]))
-            for engine in self._engines.values():
-                engine.note_external_mutation(deletes=1)
-            return None
+            return run.delete(int(payload["index"]), payload.get("key"))
         raise WALCorruptError(f"unknown WAL op {op!r}")
+
+    def _apply_run(self, run: ReplayRun) -> int:
+        results = self._tables.apply_run(run)
+        for engine in self._engines.values():
+            engine.note_external_mutation(inserts=len(run.points), deletes=len(run.deletes))
+        for (key, _), result in zip(run.records, results):
+            self._idempotency_remember(key, result)
+        return len(results)
 
     def _idempotency_lookup(self, key: str):
         result = self._idempotency.get(key, _IDEMPOTENCY_MISS)

@@ -60,7 +60,7 @@ import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional
+from typing import Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +80,11 @@ from repro.types import Dataset, Point
 #: Exclusive upper bound of the dynamic rank domain.  62 bits keeps every
 #: rank representable in a signed int64 with headroom for searchsorted bounds.
 RANK_DOMAIN = 1 << 62
+
+
+def _delta_bound(num_live: int) -> int:
+    """Recorded mutations past which an undrained :class:`MutationDelta` collapses."""
+    return max(1024, 2 * num_live)
 
 
 def serialized(method):
@@ -137,6 +142,96 @@ class MutationDelta:
     def is_empty(self) -> bool:
         """True when no mutation has been recorded since the last drain."""
         return not (self.inserted or self.deleted or self.overflowed)
+
+
+class ReplayRun:
+    """Journaled mutations that one bulk apply replays exactly.
+
+    Crash recovery replays a WAL suffix in runs
+    (:meth:`DynamicLSHTables.apply_run`): all the inserts of a run go to one
+    :meth:`~DynamicLSHTables.insert_many`, and its deletes follow in journal
+    order.  A run follows the record-at-a-time replay on counts alone and
+    takes a record only while the bulk order provably ends in the same state:
+
+    * a delete that replay would reject where it stands in the journal (slot
+      not yet inserted, or already dead) is dropped, as that replay skips it;
+    * a delete that would cross ``max_tombstone_fraction`` ends the run.  All
+      the run's inserts precede it, so its sweep fires at the same state.
+      Every earlier delete sees at least as many live points in bulk order,
+      so none sweeps early;
+    * the run ends before a record that could make the undrained
+      :class:`MutationDelta` outgrow its bound at any step of either order;
+      when that record is the first, the run holds it alone, which is
+      record-at-a-time replay by construction;
+    * ranks are one 64-bit draw each, so one draw for the run's points
+      equals the draws of its records one by one.
+    """
+
+    def __init__(self, tables: "DynamicLSHTables"):
+        self._tables = tables
+        self._known_slots = tables.num_points
+        self._slots = tables.num_points
+        self._live_at_start = tables.num_live
+        self._live = tables.num_live
+        self._pending = tables.pending_tombstones
+        delta = tables.peek_delta()
+        self._recorded = len(delta.inserted) + len(delta.deleted)
+        self._dead: set = set()
+        self._closed = False
+        #: every insert's points, in journal order
+        self.points: list = []
+        #: the run's deletes, in journal order
+        self.deletes: List[int] = []
+        #: per record taken, its idempotency key and its insert size (None
+        #: for a delete)
+        self.records: List[Tuple[Optional[str], Optional[int]]] = []
+
+    def insert(self, points: list, key: Optional[str] = None) -> bool:
+        """Take an insert record; ``False`` when it must start the next run."""
+        if not self._admits(len(points), 0):
+            return False
+        self.points.extend(points)
+        self.records.append((key, len(points)))
+        self._slots += len(points)
+        self._live += len(points)
+        return True
+
+    def delete(self, index: int, key: Optional[str] = None) -> bool:
+        """Take a delete record; ``False`` when it must start the next run."""
+        if self._closed:
+            return False
+        doomed = (
+            not 0 <= index < self._slots
+            or index in self._dead
+            or (index < self._known_slots and not self._tables.alive[index])
+        )
+        if doomed:
+            return True
+        if not self._admits(0, 1):
+            return False
+        self.deletes.append(index)
+        self.records.append((key, None))
+        self._dead.add(index)
+        self._live -= 1
+        self._pending += 1
+        if self._tables._sweep_due(self._pending, self._live):
+            self._closed = True
+        return True
+
+    def _admits(self, inserts: int, deletes: int) -> bool:
+        if self._closed:
+            return False
+        # Bounds over every step of both orders: the recorded mutations
+        # never exceed the run's total, and the live count never drops
+        # below the start's less every delete.
+        deletes += len(self.deletes)
+        recorded = self._recorded + len(self.points) + inserts + deletes
+        if recorded <= _delta_bound(self._live_at_start - deletes):
+            return True
+        if self.records:
+            return False
+        self._closed = True
+        return True
 
 
 class DynamicLSHTables(LSHTables):
@@ -339,7 +434,7 @@ class DynamicLSHTables(LSHTables):
         marker, so memory stays bounded by the live index size.
         """
         delta = self._delta
-        if len(delta.inserted) + len(delta.deleted) <= max(1024, 2 * self._num_live):
+        if len(delta.inserted) + len(delta.deleted) <= _delta_bound(self._num_live):
             return
         # The collapsed record still covers everything since the original
         # start, so the start epoch is preserved.
@@ -416,17 +511,23 @@ class DynamicLSHTables(LSHTables):
                     # Fresh singleton bucket: already trivially sorted.
                     table[key] = singletons[offsets[0]]
                     continue
-                added_indices = np.asarray([start + o for o in offsets], dtype=np.intp)
-                added_ranks = None if new_ranks is None else new_ranks[offsets]
-                if bucket is None:
-                    table[key] = Bucket.from_members(added_indices, added_ranks)
-                else:
+                if new_ranks is None:
+                    added = np.asarray(offsets, dtype=np.intp) + start
                     table[key] = Bucket.from_members(
-                        np.concatenate([bucket.indices, added_indices]),
-                        None
-                        if bucket.ranks is None
-                        else np.concatenate([bucket.ranks, added_ranks]),
+                        added if bucket is None else np.concatenate([bucket.indices, added]), None
                     )
+                    continue
+                # Newest first, then the bucket: the stable rank sort then
+                # breaks rank ties the way one-point splices do (a splice
+                # lands before its equal ranks), so a batch leaves the same
+                # buckets as its points inserted one at a time.
+                offsets = offsets[::-1]
+                added = np.asarray(offsets, dtype=np.intp) + start
+                added_ranks = new_ranks[offsets]
+                if bucket is not None:
+                    added = np.concatenate([added, bucket.indices])
+                    added_ranks = np.concatenate([added_ranks, bucket.ranks])
+                table[key] = Bucket.from_members(added, added_ranks)
         indices = list(range(start, start + count))
         self._delta.inserted.extend(indices)
         self.mutation_epoch += 1
@@ -505,11 +606,40 @@ class DynamicLSHTables(LSHTables):
         self._alive[index] = False
         self._num_live -= 1
         self._pending.add(index)
-        # Trigger on the *live* count: with total slots as the denominator,
-        # long-lived churny indexes would compact ever more rarely relative
-        # to the data actually being served.
-        if len(self._pending) > self.max_tombstone_fraction * max(1, self._num_live):
+        if self._sweep_due(len(self._pending), self._num_live):
             self.compact()
+
+    @serialized
+    def apply_run(self, run: ReplayRun) -> List[Optional[List[int]]]:
+        """Apply one :class:`ReplayRun`; per record, its slots (``None``: a delete).
+
+        The run's inserts go to one :meth:`insert_many`, which moves
+        :attr:`mutation_epoch` once per journaled insert, and its deletes
+        follow in journal order.
+        """
+        results: List[Optional[List[int]]] = []
+        slot = self._n
+        if run.points:
+            self.insert_many(run.points)
+            self.mutation_epoch += sum(1 for _, size in run.records if size) - 1
+        for index in run.deletes:
+            self.delete(index)
+        for _, size in run.records:
+            if size is None:
+                results.append(None)
+            else:
+                results.append(list(range(slot, slot + size)))
+                slot += size
+        return results
+
+    def _sweep_due(self, pending: int, live: int) -> bool:
+        """Whether *pending* tombstones over *live* points trigger a sweep.
+
+        The trigger is on the *live* count: with total slots as the
+        denominator, long-lived churny indexes would compact ever more
+        rarely relative to the data actually being served.
+        """
+        return pending > self.max_tombstone_fraction * max(1, live)
 
     @serialized
     def compact(self) -> None:
@@ -521,11 +651,12 @@ class DynamicLSHTables(LSHTables):
         the sweep itself) and rewrites only those buckets, deleting
         the ones it empties: ``O(pending x L x bucket size)`` work, however
         large the index.  The sweep then checks that it removed exactly
-        ``len(pending) x L`` dead references.  A point hashed at ``fit``
-        (one batched product over the dataset) and rehashed here (per point)
-        can in principle land one ulp across a p-stable floor boundary;
-        should a key ever disagree, a walk over every stored reference
-        finishes the sweep.
+        ``len(pending) x L`` dead references.  Fit, inserts, this sweep and
+        queries all hash through the family's batch hasher (p-stable: one
+        product per batch), but BLAS may round a row one ulp differently in
+        batches of different shapes, so a key could in principle cross a
+        floor boundary between the fit and this rehash; should a key ever
+        disagree, a walk over every stored reference finishes the sweep.
 
         Indices are *not* renumbered — live points keep their identity — so
         a live point's bucket keys never change.  The serving engine calls

@@ -8,18 +8,25 @@ classical Datar-Immorlica-Indyk-Mirrokni expression
     p(d) = 1 - 2 * Phi(-w/d) - (2 d / (sqrt(2 pi) w)) * (1 - exp(-w^2 / (2 d^2)))
 
 which is monotonically decreasing in ``d``.
+
+Hashing goes through a batch hasher (see
+:class:`repro.lsh.family.BatchHasher`): the directions of all drawn
+functions are stacked into one ``dim x F`` matrix, so a batch of points is
+hashed with one product, one floor and one ``tolist()``, whether it is the
+dataset at fit time, an insert batch, the points a compaction sweep
+rehashes or a query batch.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, List
+from typing import Hashable, List, Sequence
 
 import numpy as np
 
 from repro.distances.euclidean import EuclideanDistance
 from repro.exceptions import InvalidParameterError
-from repro.lsh.family import HashFunction, LSHFamily
+from repro.lsh.family import BatchHasher, HashFunction, LSHFamily
 from repro.types import Dataset, Point
 from repro.registry import register_lsh_family
 
@@ -40,10 +47,34 @@ class PStableHashFunction(HashFunction):
         projection = float(np.dot(np.asarray(point, dtype=float), self._direction))
         return int(math.floor((projection + self._offset) / self._width))
 
-    def hash_dataset(self, dataset: Dataset) -> List[Hashable]:
-        data = np.asarray(dataset, dtype=float)
-        values = np.floor((data @ self._direction + self._offset) / self._width)
-        return [int(v) for v in values]
+
+class _PStableBatchHasher(BatchHasher):
+    """All wrapped ``floor((<a, x> + b) / w)`` at once: one product per batch.
+
+    The ``F`` directions are the columns of one ``dim x F`` matrix, so
+    hashing ``m`` points is one ``m x F`` product, the same offset-and-scale
+    arithmetic as :meth:`PStableHashFunction.__call__`, a floor and one
+    ``tolist()`` (Python ints straight from C).
+    """
+
+    def __init__(self, functions: Sequence[PStableHashFunction]):
+        self._directions = np.stack([f._direction for f in functions], axis=1)
+        self._offsets = np.array([f._offset for f in functions])
+        self._widths = np.array([f._width for f in functions])
+
+    def _keys(self, points) -> np.ndarray:
+        """The ``points x functions`` int64 key matrix."""
+        data = np.asarray(points, dtype=float)
+        return np.floor((data @ self._directions + self._offsets) / self._widths).astype(np.int64)
+
+    def keys_for_point(self, point: Point) -> List[Hashable]:
+        return self._keys(np.asarray(point, dtype=float)[None, :])[0].tolist()
+
+    def keys_for_points(self, points: Dataset) -> List[List[Hashable]]:
+        return self._keys(points).tolist()
+
+    def keys_for_dataset(self, dataset: Dataset) -> List[List[Hashable]]:
+        return self._keys(dataset).T.tolist()
 
 
 @register_lsh_family("pstable")
@@ -63,6 +94,11 @@ class PStableFamily(LSHFamily):
         direction = rng.standard_normal(self.dim)
         offset = float(rng.uniform(0.0, self.width))
         return PStableHashFunction(direction, offset, self.width)
+
+    def make_batch_hasher(self, functions: Sequence[HashFunction]):
+        if not functions or not all(isinstance(f, PStableHashFunction) for f in functions):
+            return None
+        return _PStableBatchHasher(functions)
 
     def collision_probability(self, value: float) -> float:
         if value < 0:

@@ -129,8 +129,16 @@ class Bucket:
             return Bucket(np.append(self._members, np.intp(index)))
         if rank is None:
             raise InvalidParameterError("bucket has ranks; a rank is required to insert")
+        # One copy: fill a fresh 2 x (m + 1) array around the splice position
+        # (np.insert pays several times this in argument handling).
+        members = self._members
         position = int(np.searchsorted(ranks, rank, side="left"))
-        return Bucket.from_array(np.insert(self._members, position, (index, rank), axis=1))
+        spliced = np.empty((2, members.shape[1] + 1), dtype=members.dtype)
+        spliced[:, :position] = members[:, :position]
+        spliced[0, position] = index
+        spliced[1, position] = rank
+        spliced[:, position + 1 :] = members[:, position:]
+        return Bucket.from_array(spliced)
 
     def filtered(self, keep: np.ndarray) -> "Bucket":
         """A new bucket keeping only the members where *keep* is True."""

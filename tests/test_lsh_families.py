@@ -12,8 +12,9 @@ from repro.lsh import (
     OneBitMinHashFamily,
     PStableFamily,
 )
+from repro.engine.dynamic import DynamicLSHTables
 from repro.lsh.family import ConcatenatedFamily
-from repro.lsh.tables import LSHTables
+from repro.lsh.tables import Bucket, LSHTables
 
 
 def empirical_collision_rate(family, a, b, trials, seed=0):
@@ -287,6 +288,54 @@ class TestBatchHashers:
                 assert type(parts) is tuple and len(parts) == k
                 assert all(type(part) is int for part in parts)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 7, 200])
+    def test_pstable_batch_keys_agree_every_way(self, k, batch):
+        """keys_for_point, the rows of keys_for_points, the columns of
+        keys_for_dataset and the per-function hashes are the same keys."""
+        rng = np.random.default_rng(31)
+        base = PStableFamily(dim=5, width=1.5)
+        family = base if k == 1 else ConcatenatedFamily(base, k)
+        functions = [family.sample(rng) for _ in range(12)]
+        hasher = family.make_batch_hasher(functions)
+        data = rng.normal(size=(batch, 5)) * 3
+        points = list(data)
+        rows = hasher.keys_for_points(points)
+        columns = hasher.keys_for_dataset(points)
+        assert rows == [hasher.keys_for_point(p) for p in points]
+        assert rows == [list(row) for row in zip(*columns)]
+        assert rows == [[f(p) for f in functions] for p in points]
+        assert hasher.keys_for_dataset(data) == columns
+        for keys in rows:
+            for key in keys:
+                parts = (key,) if k == 1 else key
+                assert type(parts) is tuple and len(parts) == k
+                assert all(type(part) is int for part in parts)
+
+    def test_pstable_tables_hash_through_the_batch_hasher(self):
+        tables = LSHTables(PStableFamily(dim=3).concatenate(2), l=4, seed=1)
+        assert tables._batch_hasher is not None
+
+    def test_pstable_sweep_after_churn_never_walks_every_bucket(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        tables = DynamicLSHTables(
+            PStableFamily(dim=6, width=2.0).concatenate(2), l=8, seed=3,
+            max_tombstone_fraction=0.01,
+        )
+        tables.fit(list(rng.normal(size=(300, 6))))
+        walks = []
+        monkeypatch.setattr(tables, "_sweep_all_buckets", lambda: walks.append(1))
+        for _ in range(12):
+            tables.insert_many(list(rng.normal(size=(int(rng.integers(1, 9)), 6))))
+            live = np.flatnonzero(tables.alive)
+            for index in rng.choice(live, size=6, replace=False):
+                tables.delete(int(index))
+            tables.compact()
+        assert tables.rebuilds_triggered > 12
+        assert walks == []
+        alive = tables.alive
+        assert all(alive[b.indices].all() for table in tables._tables for b in table.values())
+
     def test_hyperplane_family_has_no_batch_hasher(self):
         rng = np.random.default_rng(21)
         family = HyperplaneFamily(4)
@@ -305,3 +354,34 @@ def _mixed_sets(rng, batch):
     ]
     sets[0], sets[-1] = frozenset(), frozenset({1, 2, 3})
     return sets
+
+
+class TestBucketSplice:
+    """``Bucket.inserted`` against an ``np.insert`` oracle."""
+
+    RANKS = [1, 3, 5, 5, 5, 9]
+
+    @pytest.mark.parametrize(
+        "rank", [0, 1, 4, 5, 9, 12],
+        ids=["head", "head-tie", "middle", "middle-tie", "tail-tie", "tail"],
+    )
+    @pytest.mark.parametrize("view", [False, True], ids=["owned", "view"])
+    def test_matches_np_insert(self, rank, view):
+        members = np.array((np.arange(10, 16), self.RANKS), dtype=np.int64)
+        if view:
+            # Built buckets are slices of one per-table members array.
+            padded = np.array((np.arange(20), np.arange(20)), dtype=np.int64)
+            padded[:, 4:10] = members
+            members = padded[:, 4:10]
+        bucket = Bucket.from_array(members)
+        before = members.copy()
+        spliced = bucket.inserted(99, rank)
+        position = int(np.searchsorted(self.RANKS, rank, side="left"))
+        expected = np.insert(before, position, (99, rank), axis=1)
+        assert spliced._members.dtype == expected.dtype
+        assert np.array_equal(spliced._members, expected)
+        assert np.array_equal(bucket._members, before)
+
+    def test_into_empty_bucket(self):
+        empty = Bucket(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64))
+        assert empty.inserted(7, 3)._members.tolist() == [[7], [3]]
