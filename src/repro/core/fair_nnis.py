@@ -245,15 +245,16 @@ class IndependentFairSampler(LSHNeighborSampler):
         parameters and the returned :class:`~repro.core.result.QueryResult`.
 
         The rejection rounds run as array code.  The rank-sorted colliding
-        view is deduplicated once in one pass, and a round's segment is a
-        ``searchsorted`` range of those distinct members.  The segment
-        choices and acceptance coins of one ``k`` level (``sigma`` rounds)
-        are drawn in two RNG calls up front, and all the level's rounds are
-        then scored with one
+        view is deduplicated once in one pass, and one ``searchsorted`` of
+        the first level's segment boundaries over those distinct members
+        places every level's segments (a level's boundaries are every other
+        one of the level before).  The segment choices and acceptance coins
+        of one ``k`` level (``sigma`` rounds) are drawn in two RNG calls up
+        front, and all the level's rounds are then scored with one
         :meth:`~repro.core.evaluator.CandidateEvaluator.values` call for the
-        members their segments cover.  A round's near count is a prefix-sum
-        difference, and the first round whose coin falls below
-        ``min(1, near / lambda)`` is accepted; its answer is a uniform draw
+        members their segments cover.  A round's near count is read from one
+        prefix sum at the level's boundaries, and the first round whose coin
+        falls below ``min(1, near / lambda)`` is accepted; its answer is a uniform draw
         among the segment's near members in index order.  Answers, round
         counts and RNG consumption equal those of scoring one round at a
         time; ``distance_evaluations`` also counts the members of the
@@ -306,7 +307,16 @@ class IndependentFairSampler(LSHNeighborSampler):
         scored = near.copy() if exclude_index is None else members == exclude_index
         evaluator = self._evaluator(query)
         num_tables = self.tables.num_tables
-        domain = self.tables.rank_domain
+        # Segment s of level k spans ranks [floor(s * domain / k),
+        # floor((s + 1) * domain / k)), computed as s * q + s * rem // k:
+        # exact in int64 even for the 2^62 rank domain of dynamic tables.
+        # k halves from level to level, so level k / step's boundaries are
+        # every step-th boundary of the first level: one searchsorted
+        # places all members for every level.
+        q, rem = divmod(self.tables.rank_domain, k)
+        starts = np.arange(k + 1, dtype=np.int64)
+        positions = np.searchsorted(member_ranks, starts * q + starts * rem // k)
+        step = 1
         while k >= 1 and stats.rounds < self.max_rounds:
             # One chunk per k level: k halves after exactly sigma failed
             # rounds, so the segment choices and acceptance coins for the
@@ -314,21 +324,19 @@ class IndependentFairSampler(LSHNeighborSampler):
             chunk = min(sigma, self.max_rounds - stats.rounds)
             segments = self._query_rng.integers(0, k, size=chunk)
             acceptance = self._query_rng.random(chunk)
-            # Segment s spans ranks [s * domain // k, (s + 1) * domain // k),
-            # computed as s * q + s * rem // k: exact in int64 even for the
-            # 2^62 rank domain of dynamic tables.
-            q, rem = divmod(domain, k)
-            lo = np.searchsorted(member_ranks, segments * q + segments * rem // k)
-            ends = segments + 1
-            hi = np.searchsorted(member_ranks, ends * q + ends * rem // k)
-            self._score_block(evaluator, members, near, scored, lo, hi)
-            near_before = np.concatenate(([0], np.cumsum(near)))
-            near_counts = near_before[hi] - near_before[lo]
+            bounds = positions[::step]
+            hit = np.zeros(k, dtype=bool)
+            hit[segments] = True
+            self._score_block(evaluator, members, near, scored, bounds, hit)
+            near_at_bounds = np.concatenate(([0], np.cumsum(near)))[bounds]
+            near_counts = np.diff(near_at_bounds)[segments]
+            sizes = np.diff(bounds)[segments]
             accepted = (near_counts > 0) & (acceptance < np.minimum(1.0, near_counts / lam))
             if accepted.any():
                 stop = int(np.argmax(accepted)) + 1
-                self._count_rounds(stats, lo[:stop], hi[:stop], num_tables)
-                left, right = lo[stop - 1], hi[stop - 1]
+                self._count_rounds(stats, sizes[:stop], num_tables)
+                segment = segments[stop - 1]
+                left, right = bounds[segment], bounds[segment + 1]
                 # Slot-index order fixes which member each draw picks,
                 # so answers equal those of scoring one round at a time.
                 chosen_from = np.sort(members[left:right][near[left:right]])
@@ -336,31 +344,33 @@ class IndependentFairSampler(LSHNeighborSampler):
                 stats.distance_evaluations = evaluator.fresh_evaluations
                 stats.kernel_calls = evaluator.kernel_calls
                 return QueryResult(index=chosen, value=evaluator.value(chosen), stats=stats)
-            self._count_rounds(stats, lo, hi, num_tables)
+            self._count_rounds(stats, sizes, num_tables)
             k //= 2
+            step *= 2
         stats.distance_evaluations = evaluator.fresh_evaluations
         stats.kernel_calls = evaluator.kernel_calls
         return QueryResult(index=None, value=None, stats=stats)
 
-    def _score_block(self, evaluator, members, near, scored, lo, hi) -> None:
-        """Score the not-yet-scored members of the segments ``[lo, hi)``.
+    def _score_block(self, evaluator, members, near, scored, bounds, hit) -> None:
+        """Score the not-yet-scored members of a level's drawn segments.
 
-        One :meth:`~repro.core.evaluator.CandidateEvaluator.values` call
-        covers the segments of a whole ``k`` level; ``near`` and ``scored``
-        are updated in place.
+        Segment ``s`` covers members ``bounds[s]:bounds[s + 1]``, and *hit*
+        marks the segments the level drew.  One
+        :meth:`~repro.core.evaluator.CandidateEvaluator.values` call covers
+        the segments of a whole ``k`` level; ``near`` and ``scored`` are
+        updated in place.
         """
-        size = members.size + 1
-        covered = np.cumsum(np.bincount(lo, minlength=size) - np.bincount(hi, minlength=size))
-        todo = np.flatnonzero((covered[:-1] > 0) & ~scored)
+        first = bounds[0]
+        covered = np.repeat(hit, np.diff(bounds))
+        todo = np.flatnonzero(covered & ~scored[first : bounds[-1]]) + first
         if todo.size:
             values = evaluator.values(members[todo])
             near[todo] = self.measure.within_mask(values, self.radius)
             scored[todo] = True
 
     @staticmethod
-    def _count_rounds(stats: QueryStats, lo: np.ndarray, hi: np.ndarray, num_tables: int) -> None:
-        """Add the work counters of the rounds with segments ``[lo, hi)``."""
-        stats.rounds += int(lo.size)
-        stats.buckets_probed += int(lo.size) * num_tables
-        stats.candidates_examined += int((hi - lo).sum())
-
+    def _count_rounds(stats: QueryStats, sizes: np.ndarray, num_tables: int) -> None:
+        """Add the work counters of rounds whose segments hold *sizes* members."""
+        stats.rounds += int(sizes.size)
+        stats.buckets_probed += int(sizes.size) * num_tables
+        stats.candidates_examined += int(sizes.sum())

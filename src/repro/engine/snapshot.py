@@ -41,7 +41,7 @@ from repro.engine.batch import BatchQueryEngine
 from repro.engine.dynamic import DynamicLSHTables, MutationDelta
 from repro.engine.requests import EngineStats
 from repro.exceptions import InvalidParameterError, ReproError, SnapshotCorruptError
-from repro.lsh.tables import Bucket, LSHTables
+from repro.lsh.tables import LSHTables, buckets_from_csr, buckets_to_csr
 from repro.spec import EngineSpec, SamplerSpec
 from repro.store import (
     DenseStore,
@@ -118,20 +118,21 @@ def _encode_keys(keys, name: str, arrays: Dict[str, np.ndarray]):
     return keys
 
 
-def _decode_keys(entry, arrays) -> List[Hashable]:
-    """Inverse of :func:`_encode_keys` (lists pass through untouched)."""
+def _decode_keys(entry, arrays):
+    """Inverse of :func:`_encode_keys` (lists pass through untouched).
+
+    Encoded keys come back as their int64 array, whose rows
+    :func:`~repro.lsh.tables.buckets_from_csr` reads as the keys.
+    """
     if not isinstance(entry, dict) or "__bucket_keys__" not in entry:
         return entry
-    packed = np.asarray(arrays[entry["array"]])
-    if entry["__bucket_keys__"] == "ints":
-        return packed.tolist()
-    return [tuple(row) for row in packed.tolist()]
+    return np.asarray(arrays[entry["array"]])
 
 
 def _pack_tables(
     tables, arrays: Dict[str, np.ndarray], npy: bool = False
 ) -> List[List[Hashable]]:
-    """Flatten the table set's buckets into *arrays*.
+    """Flatten the table set's buckets into *arrays*, one CSR form per table.
 
     Returns the per-table bucket key lists (pickled separately — keys are
     ints or tuples, not rectangular arrays).  Under the v5 layout (*npy*),
@@ -141,26 +142,16 @@ def _pack_tables(
     bucket_keys: List[List[Hashable]] = []
     has_ranks = tables.ranks is not None
     for table_index, table in enumerate(tables._tables):
-        keys = list(table.keys())
+        keys, offsets, members = buckets_to_csr(table, has_ranks)
         bucket_keys.append(
             _encode_keys(keys, f"t{table_index}_keys", arrays) if npy else keys
         )
-        buckets = [table[key] for key in keys]
-        sizes = np.asarray([len(bucket) for bucket in buckets], dtype=np.int64)
-        arrays[f"t{table_index}_offsets"] = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64)]
-        )
-        arrays[f"t{table_index}_indices"] = (
-            np.concatenate([bucket.indices for bucket in buckets])
-            if buckets
-            else np.empty(0, dtype=np.intp)
-        )
+        arrays[f"t{table_index}_offsets"] = offsets
         if has_ranks:
-            arrays[f"t{table_index}_ranks"] = (
-                np.concatenate([bucket.ranks for bucket in buckets])
-                if buckets
-                else np.empty(0, dtype=np.int64)
-            )
+            arrays[f"t{table_index}_indices"] = members[0]
+            arrays[f"t{table_index}_ranks"] = members[1]
+        else:
+            arrays[f"t{table_index}_indices"] = members
     return bucket_keys
 
 
@@ -646,22 +637,20 @@ def _restore_dataset(
     return StoreBackedPoints(store, released), store
 
 
-def _restore_table(
-    arrays, table_index: int, keys: List[Hashable], has_ranks: bool
-) -> dict:
-    """Rebuild one table's ``key -> Bucket`` dict from the flattened arrays."""
+def _restore_table(arrays, table_index: int, keys, has_ranks: bool) -> dict:
+    """Rebuild one table's ``key -> Bucket`` dict from its CSR arrays."""
     # np.asarray demotes memmap-loaded arrays to base-ndarray views over the
-    # same mapping, so the thousands of per-bucket slices below are cheap
-    # ndarray views instead of memmap subclass instances.  copy=False keeps
-    # the intp cast lazy too (int64 == intp on 64-bit platforms).  A ranked
-    # table reads both arrays once, into the indices-over-ranks layout that
-    # Bucket keeps its members in.
-    offsets = np.asarray(arrays[f"t{table_index}_offsets"]).tolist()
+    # same mapping, so the thousands of per-bucket slices are cheap ndarray
+    # views instead of memmap subclass instances.  copy=False keeps the intp
+    # cast lazy too (int64 == intp on 64-bit platforms).  A ranked table
+    # reads both arrays once, into the indices-over-ranks layout that Bucket
+    # keeps its members in.
     indices = np.asarray(arrays[f"t{table_index}_indices"]).astype(np.intp, copy=False)
     ranks = np.asarray(arrays[f"t{table_index}_ranks"]) if has_ranks else None
     members = indices if ranks is None else np.array((indices, ranks))
-    table = {}
-    for position, key in enumerate(keys):
-        lo, hi = int(offsets[position]), int(offsets[position + 1])
-        table[key] = Bucket.from_array(members[..., lo:hi])
-    return table
+    offsets = np.asarray(arrays[f"t{table_index}_offsets"])
+    if offsets.size != len(keys) + 1:
+        raise SnapshotCorruptError(
+            f"table {table_index} has {len(keys)} bucket keys but {offsets.size} offsets"
+        )
+    return buckets_from_csr(keys, offsets, members)

@@ -15,7 +15,7 @@ their (dis)similarity.  The samplers only rely on three operations:
 from __future__ import annotations
 
 import abc
-from typing import Hashable, List, Sequence
+from typing import Hashable, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,15 @@ class HashFunction(abc.ABC):
         return [self(p) for p in dataset]
 
 
+def key_tuples(values: Iterable, width: int) -> Iterator[tuple]:
+    """Consecutive *width*-tuples of *values*, as an iterator.
+
+    Key tuples come straight from the ``tolist()`` of a raveled code
+    matrix, with no list per key or per row in between.
+    """
+    return zip(*[iter(values)] * width)
+
+
 class BatchHasher(abc.ABC):
     """Vectorized evaluation of *many* hash functions at once.
 
@@ -45,26 +54,55 @@ class BatchHasher(abc.ABC):
     their drawn functions with numpy expose a batch hasher through
     :meth:`LSHFamily.make_batch_hasher` and the table layer uses it
     transparently.
+
+    A batch hasher implements one method, :meth:`codes`: the int64
+    ``points x functions`` code matrix of a batch of points.  Everything
+    else derives from that matrix here.  The table layer groups each table's
+    code block straight into buckets (:meth:`table_codes`); the key lists
+    are one ``tolist()`` of it, with :attr:`key_width` adjacent columns
+    forming one tuple key of an AND-composition.
     """
 
-    @abc.abstractmethod
-    def keys_for_point(self, point: Point) -> List[Hashable]:
-        """One bucket key per wrapped hash function for a single point."""
+    #: Code columns per bucket key: ``None`` when each column is one ``int``
+    #: key, ``k`` when columns ``t*k .. t*k + k - 1`` form table ``t``'s
+    #: ``k``-tuple key (a tuple even for ``k = 1``).
+    key_width: Optional[int] = None
 
     @abc.abstractmethod
-    def keys_for_dataset(self, dataset: Dataset) -> List[List[Hashable]]:
-        """Per wrapped function, the bucket key of every dataset point."""
+    def codes(self, points: Dataset) -> np.ndarray:
+        """The int64 ``points x functions`` code matrix of *points*."""
+
+    def table_codes(self, points: Dataset) -> np.ndarray:
+        """Per table, the codes of every point: ``(tables, points)`` for int
+        keys, ``(tables, points, key_width)`` for tuple keys."""
+        codes = self.codes(points)
+        if self.key_width is None:
+            return codes.T
+        width = self.key_width
+        return codes.reshape(codes.shape[0], codes.shape[1] // width, width).swapaxes(0, 1)
 
     def keys_for_points(self, points: Dataset) -> List[List[Hashable]]:
-        """Per *query point*, the bucket key under every wrapped function.
+        """Per point, the bucket key under every wrapped function.
 
-        This is the transpose of :meth:`keys_for_dataset` and is the entry
-        point used by batched query execution: hashing a whole batch of
-        queries in one vectorized pass instead of once per query.  Subclasses
-        whose per-function layout makes the transpose expensive may override.
+        The entry point of batched query execution, inserts and the
+        compaction sweep: a whole batch in one vectorized pass.
         """
-        per_function = self.keys_for_dataset(points)
-        return [list(row) for row in zip(*per_function)] if per_function else []
+        codes = self.codes(points)
+        if self.key_width is None:
+            return codes.tolist()
+        keys = key_tuples(codes.ravel().tolist(), self.key_width)
+        return [list(row) for row in key_tuples(keys, codes.shape[1] // self.key_width)]
+
+    def keys_for_point(self, point: Point) -> List[Hashable]:
+        """One bucket key per wrapped hash function for a single point."""
+        return self.keys_for_points([point])[0]
+
+    def keys_for_dataset(self, dataset: Dataset) -> List[List[Hashable]]:
+        """Per wrapped function, the bucket key of every dataset point."""
+        blocks = self.table_codes(dataset)
+        if self.key_width is None:
+            return blocks.tolist()
+        return [list(key_tuples(block.ravel().tolist(), self.key_width)) for block in blocks]
 
 
 class LSHFamily(abc.ABC):
@@ -144,8 +182,11 @@ class ConcatenatedFamily(LSHFamily):
         """Batch-evaluate concatenated functions via the base family's hasher.
 
         The ``L`` concatenated functions are flattened into ``L * k`` base
-        functions, handed to the base family's batch hasher, and the results
-        are regrouped into ``k``-tuples.
+        functions, handed to the base family's batch hasher, and its code
+        matrix is read as ``k``-tuple keys (see :attr:`BatchHasher.key_width`).
+        A base hasher that already reads tuple keys (a nested composition)
+        gets none: its keys are tuples of tuples, which no code matrix
+        holds, so its functions hash one by one.
         """
         parts: List[HashFunction] = []
         for function in functions:
@@ -153,30 +194,17 @@ class ConcatenatedFamily(LSHFamily):
                 return None
             parts.extend(function._parts)
         base_hasher = self.base.make_batch_hasher(parts)
-        if base_hasher is None:
+        if base_hasher is None or base_hasher.key_width is not None:
             return None
-        return _ConcatenatedBatchHasher(base_hasher, self.k, len(functions))
+        return _ConcatenatedBatchHasher(base_hasher, self.k)
 
 
 class _ConcatenatedBatchHasher(BatchHasher):
-    """Regroup a flat batch hasher's outputs into ``k``-tuples per table."""
+    """The base hasher's code matrix, read as ``k``-tuple keys per table."""
 
-    def __init__(self, base: BatchHasher, k: int, num_functions: int):
+    def __init__(self, base: BatchHasher, k: int):
         self._base = base
-        self._k = k
-        self._num_functions = num_functions
+        self.key_width = k
 
-    def keys_for_point(self, point: Point) -> List[Hashable]:
-        flat = self._base.keys_for_point(point)
-        return [
-            tuple(flat[table * self._k + part] for part in range(self._k))
-            for table in range(self._num_functions)
-        ]
-
-    def keys_for_dataset(self, dataset: Dataset) -> List[List[Hashable]]:
-        flat = self._base.keys_for_dataset(dataset)
-        grouped: List[List[Hashable]] = []
-        for table in range(self._num_functions):
-            columns = [flat[table * self._k + part] for part in range(self._k)]
-            grouped.append(list(zip(*columns)))
-        return grouped
+    def codes(self, points: Dataset) -> np.ndarray:
+        return self._base.codes(points)

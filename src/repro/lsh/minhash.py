@@ -19,13 +19,16 @@ Because the LSH structures of the paper use hundreds of tables, hashing every
 set with every function in a Python loop would dominate the running time.
 Both families therefore expose a vectorized *batch hasher* (see
 :class:`repro.lsh.family.BatchHasher`): the seeds of all drawn functions are
-stacked into an array and whole datasets are hashed with a handful of numpy
-operations over a CSR-like flattened item representation.
+stacked into an array and a whole batch of sets is hashed with a handful of
+numpy operations over a CSR-like flattened item representation, into the
+int64 ``points x functions`` code matrix that is the batch hasher's one
+method.  The table layer groups that matrix into buckets as it is; query,
+insert and sweep keys are one ``tolist()`` of it.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -116,43 +119,24 @@ class _MinHashBatchHasher(BatchHasher):
             return (minima & np.uint64(1)).astype(np.int64)
         return minima.astype(np.int64)
 
-    def keys_for_point(self, point: Point) -> List[Hashable]:
-        items = _point_items(point)
-        if items.size == 0:
-            return [_EMPTY_SET_KEY] * self._seeds.size
-        keys: List[Hashable] = []
-        for start in range(0, self._seeds.size, self._chunk_size):
-            stop = min(self._seeds.size, start + self._chunk_size)
-            seeds = self._seeds[start:stop, None]
-            minima = _splitmix64(items[None, :], seeds).min(axis=1)
-            # tolist() converts to Python ints in C — the per-element int()
-            # loop this replaces dominated batched hashing profiles.
-            keys.extend(self._finalize(minima).tolist())
-        return keys
-
-    def keys_for_dataset(self, dataset: Dataset) -> List[List[Hashable]]:
-        sizes = np.array([len(point) for point in dataset], dtype=np.int64)
+    def codes(self, points: Dataset) -> np.ndarray:
+        items = [_point_items(point) for point in points]
+        sizes = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
         non_empty = sizes > 0
-        flat = (
-            np.concatenate([_point_items(point) for point in dataset if len(point) > 0])
-            if non_empty.any()
-            else np.empty(0, dtype=np.uint64)
-        )
-        offsets = np.zeros(int(non_empty.sum()), dtype=np.int64)
-        if offsets.size > 1:
-            offsets[1:] = np.cumsum(sizes[non_empty])[:-1]
-
-        # One (functions, points) array and one tolist(): empty sets keep
-        # the sentinel, the rest take their row of minima.
-        keys = np.full((self._seeds.size, len(dataset)), _EMPTY_SET_KEY, dtype=np.int64)
-        if flat.size:
+        # Functions by points, filled one chunk of functions at a time, and
+        # returned transposed: each function's codes stay one contiguous row.
+        # Empty sets keep the sentinel, the rest take their minima.
+        codes = np.full((self._seeds.size, len(items)), _EMPTY_SET_KEY, dtype=np.int64)
+        if non_empty.any():
+            flat = np.concatenate(items)
+            offsets = np.cumsum(sizes[non_empty]) - sizes[non_empty]
             for start in range(0, self._seeds.size, self._chunk_size):
                 stop = min(self._seeds.size, start + self._chunk_size)
                 hashed = _splitmix64(flat[None, :], self._seeds[start:stop, None])
-                keys[start:stop, non_empty] = self._finalize(
+                codes[start:stop, non_empty] = self._finalize(
                     np.minimum.reduceat(hashed, offsets, axis=1)
                 )
-        return keys.tolist()
+        return codes.T
 
 
 def _batch_hasher_from(

@@ -12,15 +12,16 @@ which is monotonically decreasing in ``d``.
 Hashing goes through a batch hasher (see
 :class:`repro.lsh.family.BatchHasher`): the directions of all drawn
 functions are stacked into one ``dim x F`` matrix, so a batch of points is
-hashed with one product, one floor and one ``tolist()``, whether it is the
-dataset at fit time, an insert batch, the points a compaction sweep
-rehashes or a query batch.
+hashed into its int64 ``points x F`` code matrix with one product and one
+floor, whether it is the dataset at fit time (grouped into buckets as a
+matrix), an insert batch, the points a compaction sweep rehashes or a
+query batch (one ``tolist()`` each).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, List, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -53,8 +54,7 @@ class _PStableBatchHasher(BatchHasher):
 
     The ``F`` directions are the columns of one ``dim x F`` matrix, so
     hashing ``m`` points is one ``m x F`` product, the same offset-and-scale
-    arithmetic as :meth:`PStableHashFunction.__call__`, a floor and one
-    ``tolist()`` (Python ints straight from C).
+    arithmetic as :meth:`PStableHashFunction.__call__` and a floor.
     """
 
     def __init__(self, functions: Sequence[PStableHashFunction]):
@@ -62,19 +62,9 @@ class _PStableBatchHasher(BatchHasher):
         self._offsets = np.array([f._offset for f in functions])
         self._widths = np.array([f._width for f in functions])
 
-    def _keys(self, points) -> np.ndarray:
-        """The ``points x functions`` int64 key matrix."""
+    def codes(self, points: Dataset) -> np.ndarray:
         data = np.asarray(points, dtype=float)
         return np.floor((data @ self._directions + self._offsets) / self._widths).astype(np.int64)
-
-    def keys_for_point(self, point: Point) -> List[Hashable]:
-        return self._keys(np.asarray(point, dtype=float)[None, :])[0].tolist()
-
-    def keys_for_points(self, points: Dataset) -> List[List[Hashable]]:
-        return self._keys(points).tolist()
-
-    def keys_for_dataset(self, dataset: Dataset) -> List[List[Hashable]]:
-        return self._keys(dataset).T.tolist()
 
 
 @register_lsh_family("pstable")

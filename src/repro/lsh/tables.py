@@ -19,6 +19,13 @@ are sorted by rank so both the ordered scan and the range query (via
 suggests a balanced binary search tree per bucket; for a static index the
 sorted-array representation has identical asymptotics with far smaller
 constants (see the ablation benchmark).
+
+A fit takes the batch hasher's integer code matrix (see
+:class:`~repro.lsh.family.BatchHasher`) and sorts each table's block into
+CSR form: sorted key rows, bucket offsets and one members array that every
+bucket of the table is a view of.  :func:`buckets_from_csr` turns that form
+into the ``{key: Bucket}`` dict, and snapshots write and read tables through
+the same form (:func:`buckets_to_csr` and back).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import EmptyDatasetError, InvalidParameterError
-from repro.lsh.family import HashFunction, LSHFamily
+from repro.lsh.family import HashFunction, LSHFamily, key_tuples
 from repro.rng import SeedLike, ensure_rng
 from repro.types import Dataset, Point
 
@@ -145,23 +152,60 @@ class Bucket:
         return Bucket.from_array(np.compress(keep, self._members, axis=-1))
 
 
-def _integer_key_codes(keys: Sequence[Hashable]) -> Optional[np.ndarray]:
-    """*keys* as an integer code array (1-D scalars / 2-D tuple rows), or ``None``.
+def buckets_from_csr(keys, offsets: np.ndarray, members: np.ndarray) -> Dict[Hashable, Bucket]:
+    """One table's ``{key: Bucket}`` from its CSR form.
 
-    Only integer scalar keys and fixed-width tuples of integers qualify —
-    exactly the shapes the built-in hash families emit.  Anything else (mixed
-    widths, strings, objects) returns ``None`` and the caller keeps the
-    generic dict grouping.
+    Bucket ``i`` holds ``members[..., offsets[i]:offsets[i + 1]]`` (a view
+    of the one *members* array: indices, or ``2 x m`` indices over ranks)
+    under ``keys[i]``.  *keys* is a sequence of bucket keys, or an integer
+    code array whose rows become the keys: ints for a 1-D array, tuples of
+    ints for a 2-D one.  Dict order is the order of *keys*.
+    """
+    if isinstance(keys, np.ndarray):
+        keys = keys.tolist() if keys.ndim == 1 else key_tuples(keys.ravel().tolist(), keys.shape[1])
+    bounds = np.asarray(offsets).tolist()
+    from_array = Bucket.from_array
+    if members.ndim == 1:
+        buckets = [from_array(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    else:
+        buckets = [from_array(members[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return dict(zip(keys, buckets))
+
+
+def _integer_codes(keys: Sequence[Hashable]):
+    """*keys* as an integer code block when they are ints or fixed-width
+    tuples of ints (``(points,)`` or ``(points, K)``), else *keys* as given.
+
+    Families without a batch hasher hash function by function into key
+    lists; integer ones take the same sorted CSR build as a code matrix, and
+    anything else (mixed widths, strings, nested tuples) the dict grouping.
     """
     if len(keys) == 0:
-        return None
+        return keys
     try:
         codes = np.asarray(keys)
     except (ValueError, OverflowError):
-        return None
+        return keys
     if codes.dtype.kind not in "iu" or codes.ndim not in (1, 2):
-        return None
+        return keys
     return codes
+
+
+def buckets_to_csr(table: Dict[Hashable, Bucket], ranked: bool):
+    """The inverse of :func:`buckets_from_csr`: ``(keys, offsets, members)``.
+
+    The members of every bucket, in dict order, in one array (``2 x m``
+    indices over ranks when *ranked*), with int64 bucket offsets.
+    """
+    keys = list(table)
+    arrays = [bucket._members for bucket in table.values()]
+    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum([array.shape[-1] for array in arrays], out=offsets[1:])
+    if arrays:
+        members = np.concatenate(arrays, axis=-1)
+    else:
+        members = np.empty((2, 0), dtype=np.int64) if ranked else np.empty(0, dtype=np.intp)
+    return keys, offsets, members
 
 
 class LSHTables:
@@ -232,29 +276,35 @@ class LSHTables:
                 )
         self._n = n
         self._ranks = ranks
-        self._tables = []
         if self._batch_hasher is not None:
-            all_keys = self._batch_hasher.keys_for_dataset(dataset)
+            blocks = self._batch_hasher.table_codes(dataset)
         else:
-            all_keys = [function.hash_dataset(dataset) for function in self._functions]
-        for keys in all_keys:
-            self._tables.append(self._build_table(keys, ranks))
+            blocks = [
+                _integer_codes(function.hash_dataset(dataset)) for function in self._functions
+            ]
+        rank_order = None if ranks is None else np.argsort(ranks, kind="stable")
+        self._tables = [self._build_table(block, ranks, rank_order) for block in blocks]
         self._fitted = True
         return self
 
     @staticmethod
-    def _build_table(keys: Sequence[Hashable], ranks: Optional[np.ndarray]) -> Dict[Hashable, Bucket]:
+    def _build_table(
+        keys, ranks: Optional[np.ndarray], rank_order: Optional[np.ndarray]
+    ) -> Dict[Hashable, Bucket]:
         """Group per-point bucket keys into one table of rank-sorted buckets.
 
-        Integer key codes — scalars (``K = 1``) or fixed-width tuples of
-        integers (concatenated families) — are grouped with one stable
-        argsort over the whole key array instead of a Python dict insert per
-        point; members end up in ascending dataset order within each bucket
-        exactly as the dict grouping produced.  Non-integer key types fall
-        back to the dict path.
+        *keys* is normally one table's block of the batch hasher's integer
+        code matrix (:meth:`~repro.lsh.family.BatchHasher.table_codes`):
+        ``(points,)`` for int keys, ``(points, K)`` for K-tuple keys.  One
+        stable sort over it gives the CSR form — sorted key rows, bucket
+        offsets and rank-sorted members — which :func:`buckets_from_csr`
+        turns into the dict, in sorted key order; *rank_order*, the stable
+        argsort of *ranks*, is computed once per fit and shared by its
+        tables.  Families without a batch hasher pass integer key lists as
+        the same kind of block (:func:`_integer_codes`); other key lists
+        (any hashable keys) are grouped with a dict, in first-seen order.
         """
-        codes = _integer_key_codes(keys)
-        if codes is None:
+        if not isinstance(keys, np.ndarray):
             groups: Dict[Hashable, List[int]] = {}
             for index, key in enumerate(keys):
                 groups.setdefault(key, []).append(index)
@@ -264,29 +314,23 @@ class LSHTables:
                 table[key] = Bucket.from_members(indices, None if ranks is None else ranks[indices])
             return table
 
-        if codes.ndim == 1:
-            order = np.argsort(codes, kind="stable")
-            sorted_codes = codes[order]
-            new_group = sorted_codes[1:] != sorted_codes[:-1]
-        else:
-            order = np.lexsort(codes.T[::-1])  # row-lexicographic, stable
-            sorted_codes = codes[order]
-            new_group = np.any(sorted_codes[1:] != sorted_codes[:-1], axis=1)
-        starts = np.concatenate(([0], np.flatnonzero(new_group) + 1))
-        ends = np.concatenate((starts[1:], [codes.shape[0]]))
+        # A stable sort by key row (column 0 first) of the points in rank
+        # order: each bucket's members end up in rank order, dataset order
+        # among equal ranks.  All buckets are views of one members array.
+        if ranks is not None:
+            keys = keys[rank_order]
+        order = np.lexsort([keys] if keys.ndim == 1 else keys.T[::-1])
+        sorted_keys = keys[order]
+        if ranks is not None:
+            order = rank_order[order]
+        new_group = sorted_keys[1:] != sorted_keys[:-1]
+        if keys.ndim == 2:
+            new_group = new_group.any(axis=1)
+        offsets = np.concatenate(([0], np.flatnonzero(new_group) + 1, [keys.shape[0]]))
         members = order.astype(np.intp)
         if ranks is not None:
-            # Rank order within each bucket; the stable sort keeps dataset
-            # order among equal ranks.  All buckets are views of one array.
-            group = np.repeat(np.arange(starts.size), ends - starts)
-            members = members[np.lexsort((ranks[members], group))]
             members = np.array((members, ranks[members]))
-        table = {}
-        for start, end in zip(starts, ends):
-            row = sorted_codes[start]
-            key = int(row) if codes.ndim == 1 else tuple(int(part) for part in row)
-            table[key] = Bucket.from_array(members[..., start:end])
-        return table
+        return buckets_from_csr(sorted_keys[offsets[:-1]], offsets, members)
 
     # ------------------------------------------------------------------
     # Introspection

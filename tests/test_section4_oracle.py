@@ -375,3 +375,61 @@ class TestHandmadeViews:
             assert_matches_oracle(sampler, query, make_view(pairs), exclude_index)
         finally:
             sampler.max_rounds = saved
+
+
+@pytest.fixture(scope="module")
+def static_hub(hub_sets):
+    return _static(hub_sets, seed=17)
+
+
+class TestStaticRankDomain:
+    """Static tables rank their points ``0 .. n-1``, so the rank domain is
+    ``n`` and a first level ``k`` above it makes ``q = domain // k`` zero:
+    every segment is zero or one rank wide, and level boundaries come from
+    the ``s * rem // k`` term alone."""
+
+    @_FAST
+    @given(
+        data=st.data(),
+        members=st.integers(0, 40),
+        factor=st.sampled_from([0.6, 1.0, 10.0]),
+        exclude=st.booleans(),
+        max_rounds=st.integers(1, 400),
+    )
+    def test_random_views_with_k_above_the_domain(self, static_hub, hub_sets, data, members,
+                                                  factor, exclude, max_rounds):
+        sampler = static_hub
+        query = hub_sets[2]
+        domain = sampler.tables.rank_domain
+        sampler.estimate_colliding_count = lambda query: factor * domain
+        saved = sampler.max_rounds
+        sampler.max_rounds = max_rounds
+        try:
+            k = k_level(sampler, query)
+            assert k > domain and divmod(domain, k)[0] == 0
+            indices = data.draw(
+                st.lists(st.integers(0, len(hub_sets) - 1), min_size=members,
+                         max_size=members, unique=True)
+            )
+            pairs = [
+                (data.draw(st.integers(0, domain - 1)), index, data.draw(st.integers(1, 3)))
+                for index in indices
+            ]
+            exclude_index = indices[0] if exclude and indices else None
+            assert_matches_oracle(sampler, query, make_view(pairs), exclude_index)
+        finally:
+            sampler.max_rounds = saved
+            del sampler.estimate_colliding_count
+
+    def test_real_views_with_k_above_the_domain(self, static_hub, hub_sets):
+        sampler = static_hub
+        domain = sampler.tables.rank_domain
+        sampler.estimate_colliding_count = lambda query: 0.75 * domain
+        try:
+            assert divmod(domain, k_level(sampler, hub_sets[0]))[0] == 0
+            found = 0
+            for index, query in enumerate(hub_sets[:25]):
+                found += assert_matches_oracle(sampler, query, exclude_index=index).found
+            assert found > 10
+        finally:
+            del sampler.estimate_colliding_count
