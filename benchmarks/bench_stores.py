@@ -4,26 +4,36 @@ The point of the out-of-core tiers is the *cold path*: a format-5 snapshot
 loaded with ``store="memmap"`` opens the dataset and bucket arrays as
 memory maps — file headers, not the corpus — so a serving process answers
 its first query without materializing 100k vectors it may never touch.
-This benchmark measures, on a 100k-point dense workload:
+This benchmark measures, on a 100k-point dense workload, one v5 snapshot
+(the only format ``save_engine`` writes) served through all three
+backends:
 
 * **cold start** — ``load_engine`` wall time, and wall time to the *first
-  answered query*, for the legacy zipped format (v3, everything
-  materialized) and the v5 snapshot through all three backends;
+  answered query*, for ``inram`` (everything materialized), ``memmap`` and
+  ``remote``; each is the median of ``REPEATS`` fresh loads in this
+  process (the snapshot's files sit in the page cache), with the
+  spread (min–max) recorded;
+* **resident corpus** — the store's resident bytes after the first
+  query (``DatasetStore.nbytes``: all buffers in RAM, only the overlay
+  and caches out-of-core);
 * **steady state** — batched query throughput per backend once warm, so
   the price of lazy tiers under sustained load is visible next to their
   cold-start win (remote runs against an in-process block client: the
   protocol + cache overhead without network noise);
-* **identity** — the first responses of every backend are asserted
+* **identity** — the first responses of every load are asserted
   identical, so every measured configuration is also a correctness run.
 
 Results persist to ``benchmarks/results/store_backends.{json,txt}``.  The
-guard at the bottom pins the tentpole claim: memmap cold start at least
-10x faster than the legacy materializing load on this workload.
+guard at the bottom pins what the memmap tier is for: its cold start
+beats the materializing in-RAM load at least 2x, and it keeps at most a
+tenth of the in-RAM store's resident bytes.
 """
 
 from __future__ import annotations
 
+import gc
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -42,6 +52,7 @@ N_POINTS = 100_000
 DIM = 128
 N_QUERIES = 64
 STEADY_BATCHES = 3
+REPEATS = 5
 REMOTE_STORE = {"backend": "remote", "cache_blocks": 256, "block_size": 512}
 # The permutation sampler keeps its snapshot state small (no per-bucket
 # sketches), so the cold path measures the storage tiers, not pickling of
@@ -80,6 +91,14 @@ def _steady_qps(engine, queries):
     return STEADY_BATCHES * len(requests) / (time.perf_counter() - start)
 
 
+def _summary(values, digits=4):
+    return {
+        "median": round(statistics.median(values), digits),
+        "min": round(min(values), digits),
+        "max": round(max(values), digits),
+    }
+
+
 def test_store_backend_cold_start_and_throughput():
     points = _dataset()
     rng = np.random.default_rng(29)
@@ -88,38 +107,43 @@ def test_store_backend_cold_start_and_throughput():
     tmp = tempfile.mkdtemp(prefix="bench-stores-")
     try:
         engine = BatchQueryEngine.build(SPEC.build(), points)
-        save_engine(engine, f"{tmp}/legacy", format_version=3)
-        save_engine(engine, f"{tmp}/v5", format_version=5)
+        save_engine(engine, f"{tmp}/v5")
         del engine
 
         runs = {
-            "legacy_v3": (f"{tmp}/legacy", {}),
-            "inram": (f"{tmp}/v5", {}),
-            "memmap": (f"{tmp}/v5", {"store": "memmap"}),
-            "remote": (
-                f"{tmp}/v5",
-                {"store": REMOTE_STORE, "block_client": LocalBlockClient(f"{tmp}/v5")},
-            ),
+            "inram": lambda: {},
+            "memmap": lambda: {"store": "memmap"},
+            "remote": lambda: {
+                "store": REMOTE_STORE, "block_client": LocalBlockClient(f"{tmp}/v5")
+            },
         }
-        rows, first_responses = {}, {}
-        for name, (directory, kwargs) in runs.items():
-            engine, loaded, answered, response = _cold_start(directory, queries[0], **kwargs)
-            first_responses[name] = response
+        rows, reference = {}, None
+        for name, load_kwargs in runs.items():
+            loads, answers, resident, qps = [], [], [], []
+            for _ in range(REPEATS):
+                gc.collect()
+                engine, loaded, answered, response = _cold_start(
+                    f"{tmp}/v5", queries[0], **load_kwargs()
+                )
+                # Every load of every backend answers identically.
+                reference = reference or response
+                assert response.indices == reference.indices, name
+                assert response.value == reference.value, name
+                loads.append(loaded)
+                answers.append(answered)
+                resident.append(engine._current_store().nbytes)
+                qps.append(_steady_qps(engine, queries))
+                del engine
             rows[name] = {
-                "load_seconds": round(loaded, 4),
-                "cold_start_to_first_query_seconds": round(answered, 4),
-                "steady_queries_per_second": round(_steady_qps(engine, queries), 1),
+                "load_seconds": _summary(loads),
+                "cold_start_to_first_query_seconds": _summary(answers),
+                "resident_store_mb": round(max(resident) / 2**20, 2),
+                "steady_queries_per_second": _summary(qps, digits=1),
             }
 
-        # Every measured configuration answers identically.
-        reference = first_responses["legacy_v3"]
-        for name, response in first_responses.items():
-            assert response.indices == reference.indices, name
-            assert response.value == reference.value, name
-
         speedup = round(
-            rows["legacy_v3"]["cold_start_to_first_query_seconds"]
-            / rows["memmap"]["cold_start_to_first_query_seconds"],
+            rows["inram"]["cold_start_to_first_query_seconds"]["median"]
+            / rows["memmap"]["cold_start_to_first_query_seconds"]["median"],
             1,
         )
         payload = {
@@ -128,26 +152,37 @@ def test_store_backend_cold_start_and_throughput():
                 "dim": DIM,
                 "queries": N_QUERIES,
                 "steady_batches": STEADY_BATCHES,
+                "repeats": REPEATS,
                 "remote_store": REMOTE_STORE,
             },
             "backends": rows,
-            "memmap_cold_start_speedup_vs_legacy": speedup,
+            "memmap_cold_start_speedup_vs_inram": speedup,
         }
-        lines = ["store backends: cold start to first query / steady throughput", ""]
+        lines = [
+            "store backends: cold start to first query / steady throughput",
+            f"(median of {REPEATS} loads of one v5 snapshot, min-max in brackets)",
+            "",
+        ]
         for name, row in rows.items():
+            load, first = row["load_seconds"], row["cold_start_to_first_query_seconds"]
+            steady = row["steady_queries_per_second"]
             lines.append(
-                f"{name:>9}: load {row['load_seconds'] * 1e3:8.1f} ms   "
-                f"first query {row['cold_start_to_first_query_seconds'] * 1e3:8.1f} ms   "
-                f"steady {row['steady_queries_per_second']:8.1f} q/s"
+                f"{name:>6}: load {load['median'] * 1e3:7.1f} ms "
+                f"[{load['min'] * 1e3:.1f}-{load['max'] * 1e3:.1f}]   "
+                f"first query {first['median'] * 1e3:7.1f} ms "
+                f"[{first['min'] * 1e3:.1f}-{first['max'] * 1e3:.1f}]   "
+                f"store {row['resident_store_mb']:6.1f} MB   "
+                f"steady {steady['median']:7.1f} q/s [{steady['min']:.1f}-{steady['max']:.1f}]"
             )
         lines.append("")
-        lines.append(f"memmap cold-start speedup vs legacy v3: {speedup}x")
+        lines.append(f"memmap cold-start speedup vs inram: {speedup}x")
         write_result("store_backends", "\n".join(lines))
         write_result_json("store_backends", payload)
         print("\n".join(lines))
 
-        # The tentpole claim: mapping beats materializing by an order of
-        # magnitude on the cold path.
-        assert speedup >= 10.0, lines
+        # Mapping beats materializing on the cold path, and the corpus stays
+        # in the page cache instead of the process.
+        assert speedup >= 2.0, lines
+        assert rows["memmap"]["resident_store_mb"] * 10 <= rows["inram"]["resident_store_mb"], lines
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -10,7 +10,7 @@ facade instead:
 3. absorb churn — users leaving and joining — without refitting, and show
    the fair sampler keeps answering from the live dataset;
 4. snapshot the serving setup to disk and load it back, as a server fleet
-   would — the snapshot (format v3) carries the spec, so the artifact is
+   would — the snapshot (format v5) carries the spec, so the artifact is
    self-describing.
 
 Run with:

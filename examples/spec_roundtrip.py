@@ -7,7 +7,7 @@ life cycle of that data:
 1. start from a JSON document (the form a config service or deployment
    manifest would store);
 2. build and serve the described engine with :class:`~repro.api.FairNN`;
-3. snapshot it — the spec is persisted inside the artifact (format v3);
+3. snapshot it — the spec is persisted inside the artifact (format v5);
 4. reload the snapshot elsewhere and verify both the spec and the query
    answers survived byte-for-byte.
 

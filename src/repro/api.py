@@ -22,7 +22,7 @@ Serving use::
     nn = FairNN.from_spec(spec).serve(dataset)    # dynamic tables + engines
     nn.run(batch_of_requests)                     # batched execution
     nn.insert_many(new_points); nn.delete(3)      # online churn, no refit
-    nn.save("snapshots/today")                    # spec rides along (format v3)
+    nn.save("snapshots/today")                    # spec rides along (format v5)
     clone = FairNN.load("snapshots/today")        # byte-identical primary
 
 Multiple samplers can be served **by name over one shared table set** — the
@@ -335,8 +335,9 @@ class FairNN:
         freshly built dataset to the **out-of-core tier**: the columnar
         store is spilled to raw ``.npy`` files (under ``data_dir/store``, or
         a temporary directory without one) and re-mapped, so the corpus'
-        resident footprint drops to the OS page cache and subsequent
-        checkpoints are written in the mappable v5 format.  The ``remote``
+        resident footprint drops to the OS page cache; checkpoints, which
+        are always written in the mappable v5 format, stay on that tier when
+        recovered.  The ``remote``
         backend cannot be *built* locally — load a v5 snapshot with
         :meth:`load(..., store="remote") <load>` instead.
         """
@@ -619,7 +620,7 @@ class FairNN:
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def save(self, directory, format_version: Optional[int] = None) -> None:
+    def save(self, directory) -> None:
         """Snapshot the primary sampler's engine (spec included).
 
         The persisted manifest carries the full :class:`~repro.spec.EngineSpec`,
@@ -627,15 +628,13 @@ class FairNN:
         reconstructed from their specs and re-attached (their query RNG
         streams restart; the primary is restored bit-identically).
 
-        *format_version* selects the on-disk layout (see
-        :func:`~repro.engine.snapshot.save_engine`): pass ``5`` to write the
-        raw-``.npy`` layout that out-of-core loading
-        (``load(..., store="memmap"/"remote")``) requires; the default keeps
-        the legacy zipped format unless the facade is already serving
-        out-of-core.
+        The snapshot is format v5 (see
+        :func:`~repro.engine.snapshot.save_engine`), which loads on every
+        storage tier, out-of-core ones included
+        (``load(..., store="memmap"/"remote")``).
         """
         self._check_built()
-        save_engine(self.engine(self.primary), directory, format_version=format_version)
+        save_engine(self.engine(self.primary), directory)
 
     @classmethod
     def load(
@@ -647,8 +646,8 @@ class FairNN:
         """Rebuild a facade from a snapshot written by :meth:`save`.
 
         Also accepts any :func:`~repro.engine.snapshot.save_engine` snapshot
-        whose manifest carries a spec (format v3); for spec-less (v2 and
-        older) snapshots use :func:`~repro.engine.snapshot.load_engine`.
+        whose manifest carries a spec (format v3 and later); for spec-less
+        (v2 and older) snapshots use :func:`~repro.engine.snapshot.load_engine`.
 
         *store* selects the dataset's storage tier (see
         :func:`~repro.engine.snapshot.load_engine`): ``"memmap"`` maps a v5
@@ -767,6 +766,7 @@ class FairNN:
             if fsync is not None:
                 facade._spec = replace(facade._spec, wal_fsync=fsync)
             wal = WriteAheadLog.open(data_dir / "wal", fsync=facade._spec.wal_fsync)
+            wal.advance_to(position)
             replayed = facade._replay(wal.replay(after_seq=position - 1))
         except Exception:
             facade.close()

@@ -173,7 +173,7 @@ class BatchQueryEngine:
         Optional originating :class:`~repro.spec.SamplerSpec` or
         :class:`~repro.spec.EngineSpec`.  Purely declarative — the engine
         never reads it — but :func:`~repro.engine.snapshot.save_engine`
-        persists it in the snapshot manifest (format v3) so artifacts stay
+        persists it in the snapshot manifest (since format v3) so artifacts stay
         self-describing.
 
     The rank-prefix gather budget tunes itself between the

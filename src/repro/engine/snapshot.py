@@ -1,23 +1,35 @@
 """Persist a serving engine to a directory and load it back.
 
 Indexes are expensive to build and cheap to serve, so production deployments
-build them offline and ship the artifact to servers.  A snapshot directory
-holds three files:
+build them offline and ship the artifact to servers.  :func:`save_engine`
+writes format v5, a directory of raw arrays and two small files:
 
 ``manifest.json``
     Human-readable metadata: format version, class names, the serving name
-    and originating declarative spec (format v3 — see :mod:`repro.spec`),
-    table shape, liveness counters and the engine's serving statistics.
-``arrays.npz``
-    The numeric bulk — per-table bucket member/rank arrays (flattened with
-    bucket offsets), the global rank array and the liveness mask.
+    and originating declarative spec (see :mod:`repro.spec`), the dataset
+    layout, table shape, liveness counters and the engine's serving
+    statistics.
+``arrays/``
+    One uncompressed ``.npy`` file per array: per-table bucket keys,
+    member/rank arrays and bucket offsets (CSR form), the global rank array,
+    the liveness mask and, for a columnar dataset, the dataset itself
+    (``dataset__dense``, or ``dataset__indptr``/``dataset__items``, plus a
+    ``dataset__released`` mask).  Raw ``.npy`` payloads can be
+    ``np.memmap``-ed, so a snapshot is servable without reading the corpus
+    (``load_engine(..., store="memmap")``) or with the corpus on another
+    machine (``store="remote"``).
 ``objects.pkl``
     The Python objects with no natural array form: the drawn hash functions,
-    the LSH family, per-table bucket keys, the dataset points, the sampler
-    (stripped of its table/dataset references, which are restored from the
-    arrays) and — for dynamic tables — the mutation RNG plus any
-    not-yet-consumed :class:`~repro.engine.dynamic.MutationDelta`, so the
-    restored sampler's first sync decides exactly as the saved one would.
+    the LSH family, bucket keys that are not integers, the dataset points
+    when they have no columnar form, the sampler (stripped of its
+    table/dataset references, which are restored from the arrays) and — for
+    dynamic tables — the mutation RNG plus any not-yet-consumed
+    :class:`~repro.engine.dynamic.MutationDelta`, so the restored sampler's
+    first sync decides exactly as the saved one would.
+
+:func:`load_engine` also reads the zipped formats v1–v3 that earlier
+releases wrote (``arrays.npz`` in place of ``arrays/``, the dataset pickled
+as a list of points), so existing data directories still recover.
 
 ``load_engine`` rebuilds bit-identical state: the restored sampler carries
 the same query RNG stream and (for Section 4) the same sketch hash
@@ -28,11 +40,12 @@ would have returned.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import pathlib
 import pickle
 import zipfile
-from typing import Dict, Hashable, List, Optional, Union
+from typing import Dict, Hashable, List, Union
 
 import numpy as np
 
@@ -52,36 +65,20 @@ from repro.store import (
     StoreSpec,
 )
 
-#: Version 2 added the pending :class:`~repro.engine.dynamic.MutationDelta`
-#: to ``objects.pkl`` so a restored sampler's first sync sees what changed
-#: since the save.  Version 3 added the
-#: engine's serving name (``sampler_name``) and its originating declarative
-#: spec (``spec`` / ``spec_kind``) to the manifest, making snapshots
-#: self-describing.  Version 4 was the layout of table-sharded engines,
-#: which no longer exist; :func:`load_engine` refuses it by name.
-FORMAT_VERSION = 3
+#: The format :func:`save_engine` writes: raw ``.npy`` arrays under
+#: ``arrays/`` (see the module docstring).  v5 manifests written by
+#: table-sharded engines carry ``"sharded": true`` and are refused.
+FORMAT_VERSION = 5
 
-#: The retired table-sharded format (see :data:`FORMAT_VERSION`).
+#: The retired table-sharded format, refused by name.
 SHARDED_FORMAT_VERSION = 4
 
-#: Version 5 is the *out-of-core* layout: every array is written as its own
-#: raw uncompressed ``.npy`` file under ``arrays/`` (instead of one zipped
-#: ``arrays.npz``), and a columnar dataset is persisted as arrays too —
-#: ``dataset__dense`` or ``dataset__indptr``/``dataset__items`` plus a
-#: ``dataset__released`` mask — with ``objects.pkl`` carrying ``None`` for
-#: the dataset.  Raw ``.npy`` payloads can be ``np.memmap``-ed directly, so
-#: a v5 snapshot is servable without reading the corpus
-#: (``load_engine(..., store="memmap")``) or with the corpus on a different
-#: machine entirely (``store="remote"``).  v5 manifests written by
-#: table-sharded engines carry ``"sharded": true`` and are refused.
-NPY_FORMAT_VERSION = 5
-
-#: Formats ``load_engine`` reads.  Version 1 merely lacks the pending delta
-#: (the loader substitutes an empty one); version 2 lacks the spec and
+#: Formats ``load_engine`` reads.  Versions 1–3 are the zipped layout
+#: (``arrays.npz``, dataset pickled): version 1 lacks the pending delta (the
+#: loader substitutes an empty one), version 2 also lacks the spec and
 #: serving name (the loader leaves the spec ``None`` and derives the name
-#: from the sampler class); version 5 stores raw ``.npy`` arrays and
-#: enables the out-of-core storage backends.
-COMPATIBLE_VERSIONS = (1, 2, FORMAT_VERSION, NPY_FORMAT_VERSION)
+#: from the sampler class), and version 3 carries both.
+COMPATIBLE_VERSIONS = (1, 2, 3, FORMAT_VERSION)
 
 _MANIFEST = "manifest.json"
 _ARRAYS = "arrays.npz"
@@ -99,21 +96,31 @@ def _encode_keys(keys, name: str, arrays: Dict[str, np.ndarray]):
     path of large snapshots; the common LSH key shapes (a concatenated
     hash is a K-tuple of ints, a single hash an int) round-trip through
     one rectangular array instead.  Returns a sentinel dict referencing
-    the array, or the original list when the keys don't fit the shape.
+    the array, or the original list when the keys don't fit the shape:
+    empty, ragged or mixed lists, and keys that are not Python ints
+    (numpy ints, strings, floats), stay pickled.  Tuple keys are
+    flattened in one ``np.fromiter`` pass.
     """
-    if keys and all(type(k) is int for k in keys):
+    if not keys:
+        return keys
+    first = keys[0]
+    if all(type(k) is int for k in keys):
         arrays[name] = np.asarray(keys, dtype=np.int64)
         return {"__bucket_keys__": "ints", "array": name}
     if (
-        keys
-        and all(type(k) is tuple for k in keys)
-        and len({len(k) for k in keys}) == 1
-        and all(type(v) is int for v in keys[0])
+        type(first) is tuple
+        and all(type(v) is int for v in first)
+        and set(map(type, keys)) == {tuple}
+        and len(set(map(len, keys))) == 1
     ):
+        width = len(first)
         try:
-            arrays[name] = np.asarray(keys, dtype=np.int64)
+            flat = np.fromiter(
+                itertools.chain.from_iterable(keys), dtype=np.int64, count=width * len(keys)
+            )
         except (ValueError, OverflowError, TypeError):
             return keys
+        arrays[name] = flat.reshape(len(keys), width)
         return {"__bucket_keys__": "int_tuples", "array": name}
     return keys
 
@@ -129,23 +136,18 @@ def _decode_keys(entry, arrays):
     return np.asarray(arrays[entry["array"]])
 
 
-def _pack_tables(
-    tables, arrays: Dict[str, np.ndarray], npy: bool = False
-) -> List[List[Hashable]]:
+def _pack_tables(tables, arrays: Dict[str, np.ndarray]) -> List[List[Hashable]]:
     """Flatten the table set's buckets into *arrays*, one CSR form per table.
 
-    Returns the per-table bucket key lists (pickled separately — keys are
-    ints or tuples, not rectangular arrays).  Under the v5 layout (*npy*),
-    int-shaped key lists are diverted into ``t{i}_keys`` arrays and
-    replaced by sentinels (see :func:`_encode_keys`).
+    Returns the per-table bucket key entries for ``objects.pkl``: int-shaped
+    key lists are diverted into ``t{i}_keys`` arrays and replaced by
+    sentinels (see :func:`_encode_keys`); other keys stay pickled.
     """
     bucket_keys: List[List[Hashable]] = []
     has_ranks = tables.ranks is not None
     for table_index, table in enumerate(tables._tables):
         keys, offsets, members = buckets_to_csr(table, has_ranks)
-        bucket_keys.append(
-            _encode_keys(keys, f"t{table_index}_keys", arrays) if npy else keys
-        )
+        bucket_keys.append(_encode_keys(keys, f"t{table_index}_keys", arrays))
         arrays[f"t{table_index}_offsets"] = offsets
         if has_ranks:
             arrays[f"t{table_index}_indices"] = members[0]
@@ -155,19 +157,12 @@ def _pack_tables(
     return bucket_keys
 
 
-def save_engine(
-    engine: BatchQueryEngine,
-    directory: Union[str, pathlib.Path],
-    format_version: Optional[int] = None,
-) -> pathlib.Path:
+def save_engine(engine: BatchQueryEngine, directory: Union[str, pathlib.Path]) -> pathlib.Path:
     """Write *engine* to *directory* (created if needed); returns the path.
 
-    *format_version* selects the on-disk layout: ``None`` (default) writes
-    the legacy zipped format (v3) — unless the engine is already serving
-    from an out-of-core store, in which case checkpoints auto-upgrade to v5
-    so they stay servable out-of-core.  Pass ``5``
-    explicitly to write the raw-``.npy`` layout that ``store="memmap"`` /
-    ``store="remote"`` loading requires.
+    The snapshot is format v5 (see the module docstring), which every
+    storage tier loads: ``load_engine(..., store="memmap"/"remote")`` serves
+    it out-of-core, and an in-RAM load reads each array in one piece.
     """
     sampler = engine.sampler
     if not isinstance(sampler, LSHNeighborSampler) or sampler.tables is None:
@@ -184,22 +179,8 @@ def save_engine(
 
     dynamic = isinstance(tables, DynamicLSHTables)
 
-    if format_version is None:
-        # Engines already serving out-of-core auto-upgrade their checkpoints
-        # to v5: a crash-recovery load must be able to come back on the same
-        # storage tier, which the zipped formats cannot provide.
-        active = getattr(tables, "_store", None)
-        backend = getattr(active, "backend", "inram") if active not in (None, False) else "inram"
-        format_version = NPY_FORMAT_VERSION if backend != "inram" else FORMAT_VERSION
-    if format_version not in (FORMAT_VERSION, NPY_FORMAT_VERSION):
-        raise InvalidParameterError(
-            f"format_version must be {FORMAT_VERSION} or {NPY_FORMAT_VERSION}, "
-            f"got {format_version!r}"
-        )
-    npy = format_version == NPY_FORMAT_VERSION
-
     arrays: Dict[str, np.ndarray] = {}
-    bucket_keys = _pack_tables(tables, arrays, npy=npy)
+    bucket_keys = _pack_tables(tables, arrays)
     if tables.ranks is not None:
         arrays["ranks"] = tables.ranks
     if dynamic:
@@ -212,13 +193,11 @@ def save_engine(
     # along for bit-identical post-load behaviour.
     sampler_copy = sampler._stripped_for_snapshot()
 
-    # v5 persists a columnar dataset as raw arrays ("dense"/"sets" layout)
-    # and pickles nothing for it — the dominant load cost of the zipped
-    # formats, and what makes the snapshot mappable/fetchable.  Datasets with
-    # no columnar form fall back to the "pickled" layout inside a v5 shell.
-    dataset_layout = "pickled"
-    if npy:
-        dataset_layout = _pack_dataset(sampler, tables, arrays)
+    # A columnar dataset is persisted as raw arrays ("dense"/"sets" layout)
+    # and pickles nothing: unpickling one object per point dominated the
+    # load of the zipped formats, and the arrays are what makes the snapshot
+    # mappable/fetchable.  Datasets with no columnar form are pickled.
+    dataset_layout = _pack_dataset(sampler, tables, arrays)
 
     objects = {
         "family": tables.family,
@@ -241,8 +220,8 @@ def save_engine(
         )
 
     manifest = {
-        "format_version": format_version,
-        "dataset_layout": dataset_layout if npy else None,
+        "format_version": FORMAT_VERSION,
+        "dataset_layout": dataset_layout,
         "sampler_class": type(sampler).__name__,
         "sampler_name": engine.sampler_name,
         "spec": None if spec is None else spec.to_dict(),
@@ -261,13 +240,10 @@ def save_engine(
         "coalesce_duplicates": engine.coalesce_duplicates,
         "stats": engine.stats.to_dict(),
     }
-    if npy:
-        arrays_dir = directory / _ARRAYS_DIR
-        arrays_dir.mkdir(parents=True, exist_ok=True)
-        for name, value in arrays.items():
-            np.save(arrays_dir / f"{name}.npy", np.ascontiguousarray(value))
-    else:
-        np.savez(directory / _ARRAYS, **arrays)
+    arrays_dir = directory / _ARRAYS_DIR
+    arrays_dir.mkdir(parents=True, exist_ok=True)
+    for name, value in arrays.items():
+        np.save(arrays_dir / f"{name}.npy", np.ascontiguousarray(value))
     with open(directory / _OBJECTS, "wb") as handle:
         pickle.dump(objects, handle)
     with open(directory / _MANIFEST, "w", encoding="utf-8") as handle:
@@ -420,7 +396,7 @@ def _load_engine(
         manifest = json.load(handle)
     version = manifest["format_version"]
     if version == SHARDED_FORMAT_VERSION or (
-        version == NPY_FORMAT_VERSION and manifest.get("sharded")
+        version == FORMAT_VERSION and manifest.get("sharded")
     ):
         raise InvalidParameterError(
             f"snapshot format {version} (sharded) is no longer supported: table "
@@ -431,11 +407,11 @@ def _load_engine(
             f"snapshot format {version} not supported "
             f"(expected one of {COMPATIBLE_VERSIONS})"
         )
-    npy = version == NPY_FORMAT_VERSION
+    npy = version == FORMAT_VERSION
 
-    # Format v3 manifests are self-describing; v2 and older lack the spec and
-    # serving name, so the spec stays None and the name is derived from the
-    # sampler class.
+    # Manifests since format v3 are self-describing; v2 and older lack the
+    # spec and serving name, so the spec stays None and the name is derived
+    # from the sampler class.
     spec_data = manifest.get("spec")
     spec = None
     if spec_data is not None:
@@ -453,8 +429,8 @@ def _load_engine(
         if not npy:
             raise InvalidParameterError(
                 f"store backend {store_spec.backend!r} requires a format-"
-                f"{NPY_FORMAT_VERSION} snapshot (this one is format {version}); "
-                f"re-save it with save_engine(..., format_version={NPY_FORMAT_VERSION})"
+                f"{FORMAT_VERSION} snapshot (this one is format {version}); "
+                "load it in RAM and re-save it with save_engine"
             )
         if manifest.get("dataset_layout") == "pickled":
             raise InvalidParameterError(
@@ -577,32 +553,32 @@ def _restore_dataset(
     from the backing store, so nothing is read up front.
     """
     layout = manifest.get("dataset_layout") or "pickled"
-    if manifest["format_version"] != NPY_FORMAT_VERSION or layout == "pickled":
+    if manifest["format_version"] != FORMAT_VERSION or layout == "pickled":
         return list(objects["dataset"]), None
     if layout not in _DATASET_LAYOUTS:
         raise InvalidParameterError(f"unknown snapshot dataset layout {layout!r}")
     released_mask = np.asarray(arrays["dataset__released"], dtype=bool)
 
+    points = None
     if store_spec.backend == "inram":
+        dead = released_mask.tolist()
         if layout == "dense":
             matrix = np.ascontiguousarray(arrays["dataset__dense"], dtype=np.float64)
+            points = [None if gone else row for gone, row in zip(dead, matrix)]
+            store = DenseStore(matrix)
+        else:
+            indptr = np.ascontiguousarray(arrays["dataset__indptr"], dtype=np.int64)
+            items = np.ascontiguousarray(arrays["dataset__items"], dtype=np.int64)
+            # One tolist() per array, then a frozenset per slice of Python ints.
+            bounds, flat = indptr.tolist(), items.tolist()
             points = [
-                None if released_mask[index] else matrix[index]
-                for index in range(matrix.shape[0])
+                None if gone else frozenset(flat[start:end])
+                for gone, start, end in zip(dead, bounds, bounds[1:])
             ]
-            return points, DenseStore(matrix)
-        indptr = np.ascontiguousarray(arrays["dataset__indptr"], dtype=np.int64)
-        items = np.ascontiguousarray(arrays["dataset__items"], dtype=np.int64)
-        points = [
-            None
-            if released_mask[index]
-            else frozenset(int(item) for item in items[indptr[index] : indptr[index + 1]])
-            for index in range(indptr.shape[0] - 1)
-        ]
-        return points, SetStore._from_csr(points, indptr, items)
-
-    released = np.nonzero(released_mask)[0].tolist()
-    if store_spec.backend == "memmap":
+            # The store gets its own list: the tables extend theirs on insert
+            # and then append the batch to the store, which extends its list.
+            store = SetStore._from_csr(list(points), indptr, items)
+    elif store_spec.backend == "memmap":
         arrays_dir = directory / _ARRAYS_DIR
         if layout == "dense":
             store = MemmapDenseStore(arrays_dir / "dataset__dense.npy")
@@ -629,12 +605,15 @@ def _restore_dataset(
             cache_blocks=store_spec.cache_blocks,
             block_size=store_spec.block_size,
         )
-    if len(store) != int(manifest["num_points"]):
+    num_points = int(manifest["num_points"])
+    if len(store) != num_points or released_mask.size != num_points:
         raise SnapshotCorruptError(
-            f"snapshot dataset holds {len(store)} rows but the manifest "
-            f"records {manifest['num_points']}"
+            f"snapshot dataset holds {len(store)} rows and {released_mask.size} "
+            f"liveness flags but the manifest records {num_points}"
         )
-    return StoreBackedPoints(store, released), store
+    if points is None:
+        points = StoreBackedPoints(store, np.flatnonzero(released_mask).tolist())
+    return points, store
 
 
 def _restore_table(arrays, table_index: int, keys, has_ranks: bool) -> dict:

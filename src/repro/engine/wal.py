@@ -489,6 +489,18 @@ class WriteAheadLog:
                         yield WALRecord(seq=expected, payload=pickle.loads(payload))
                     expected += 1
 
+    def advance_to(self, seq: int) -> None:
+        """Number the next record *seq* or later.
+
+        A checkpoint covering every record before *seq* may have removed
+        every segment (:meth:`truncate_through` keeps only the active
+        file, and a log reopened by a recovery has none until its first
+        append).  Reopened, such a log would number its next record 0, and
+        a recovery from that checkpoint would skip it.
+        """
+        with self._lock:
+            self._next_seq = max(self._next_seq, int(seq))
+
     def truncate_through(self, seq: int) -> int:
         """Delete whole segments whose records are all ``<= seq``.
 

@@ -8,6 +8,9 @@ deterministic.
 
 from __future__ import annotations
 
+import pathlib
+import shutil
+
 import numpy as np
 import pytest
 
@@ -79,3 +82,22 @@ def planted_unit_vectors():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+#: Snapshots written by an earlier release, zipped v3 (``*-v3``) and raw v5
+#: (``*-v5``); ``tests/test_table_build.py`` pins their answers.
+CHECKED_IN_SNAPSHOTS = pathlib.Path(__file__).parent / "data" / "table_build_snapshots"
+
+
+@pytest.fixture
+def legacy_snapshot(tmp_path):
+    """Copy a checked-in snapshot into *tmp_path*; returns the copy's path.
+
+    ``save_engine`` writes format v5 only, so tests of the zipped formats
+    (v1–v3) edit or damage a copy of a v3 snapshot an earlier release wrote.
+    """
+
+    def copy(case: str = "minhash-k2-v3") -> pathlib.Path:
+        return pathlib.Path(shutil.copytree(CHECKED_IN_SNAPSHOTS / case, tmp_path / case))
+
+    return copy

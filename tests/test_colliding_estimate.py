@@ -305,15 +305,17 @@ class TestSnapshots:
         assert_kept(loaded.sampler, sketcher, state)
         assert_exact(loaded.sampler, random_sets(rng, 10))
 
-    def test_version_1_snapshots_without_delta_still_load(self, tmp_path):
+    def test_version_1_snapshots_without_delta_still_load(self, legacy_snapshot):
         """Format v2 only added the pending delta; v1 artifacts (no
-        ``pending_delta`` key) must keep loading, with an empty delta."""
+        ``pending_delta`` key) must keep loading, with an empty delta.  The
+        artifact is a copy of a checked-in v3 snapshot of a Section 4
+        engine, edited back to v1."""
         import json
         import pickle
 
-        rng = np.random.default_rng(41)
-        engine = build_engine(random_sets(rng, 30), seed=43)
-        path = save_engine(engine, tmp_path / "snap")
+        path = legacy_snapshot("minhash-k2-v3")
+        reference = load_engine(path)
+        assert reference.tables.peek_delta().is_empty
 
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["format_version"] = 1
@@ -327,7 +329,7 @@ class TestSnapshots:
         loaded = load_engine(path)
         assert loaded.tables.peek_delta().is_empty
         q = loaded.sampler.dataset[0]
-        assert loaded.sample_batch([q] * 3) == engine.sample_batch([q] * 3)
+        assert loaded.sample_batch([q] * 3) == reference.sample_batch([q] * 3)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,10 @@ to end:
 * idempotency keys ride inside WAL records, so the retry-dedup window
   survives the crash;
 * RNG-backed samplers (whose query stream is not journaled) still recover
-  **deterministically**: two recoveries of the same directory are identical.
+  **deterministically**: two recoveries of the same directory are identical;
+* a data directory whose base checkpoint is in the zipped v3 format an
+  earlier release wrote recovers, its next checkpoint is v5, and a damaged
+  v5 checkpoint falls back to the v3 one with identical answers.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from hypothesis import strategies as st
 import repro
 from repro import FairNN
 from repro.engine.requests import QueryRequest
+from repro.engine.wal import WriteAheadLog
 from repro.exceptions import InvalidParameterError, SnapshotCorruptError
 from repro.spec import LSHSpec, SamplerSpec
 from repro.testing import tear_tail
@@ -377,6 +381,34 @@ class TestDurableFacade:
         finally:
             recovered.close()
 
+    def test_mutations_after_a_checkpoint_on_a_recovered_facade_survive(self, tmp_path):
+        """A checkpoint right after recovery covers, and removes, every WAL
+        segment; the next process must journal past its position, or the
+        recovery after it skips the new records."""
+        dataset = _dataset()
+        nn = FairNN.from_spec(_spec()).serve(dataset, data_dir=tmp_path / "d", fsync="off")
+        nn.insert_many(dataset[:3])
+        nn.delete(1)
+        nn.close()
+        recovered = FairNN.recover(tmp_path / "d")
+        position = recovered.wal.next_seq
+        recovered.checkpoint()
+        recovered.close()
+        assert not any((tmp_path / "d" / "wal").iterdir())
+
+        restarted = FairNN.recover(tmp_path / "d")
+        assert restarted.wal.next_seq == position
+        restarted.insert_many(dataset[3:6])
+        restarted.delete(2)
+        live = restarted.num_live_points
+        restarted.close()
+        again = FairNN.recover(tmp_path / "d")
+        try:
+            assert again.durability()["recovered_records"] == 2
+            assert again.num_live_points == live
+        finally:
+            again.close()
+
     def test_durability_reporting_without_data_dir(self):
         nn = FairNN.from_spec(_spec()).serve(_dataset())
         try:
@@ -451,3 +483,87 @@ class TestRNGSamplerRecovery:
         finally:
             recovered.close()
             reference.close()
+
+
+# ----------------------------------------------------------------------
+# Data directories from before checkpoints were written in format v5
+# ----------------------------------------------------------------------
+class TestLegacyCheckpoint:
+    #: The Section 4 sampler the checked-in ``minhash-k2-v3`` snapshot holds.
+    SPEC = SamplerSpec(
+        "independent",
+        {"radius": 0.45, "far_radius": 0.2, "num_hashes": 2, "num_tables": 8},
+        lsh=LSHSpec("minhash"),
+        seed=5,
+    )
+
+    def _v3_checkpoint(self, legacy_snapshot) -> Path:
+        """The checked-in v3 snapshot, with the spec a FairNN checkpoint
+        carries (``save_engine`` wrote it without one)."""
+        snapshot = legacy_snapshot("minhash-k2-v3")
+        manifest = json.loads((snapshot / "manifest.json").read_text())
+        assert manifest["format_version"] == 3 and manifest["spec"] is None
+        manifest.update(spec=self.SPEC.to_dict(), spec_kind="sampler")
+        (snapshot / "manifest.json").write_text(json.dumps(manifest))
+        return snapshot
+
+    def test_v3_base_checkpoint_recovers_and_falls_back(self, tmp_path, legacy_snapshot):
+        base = self._v3_checkpoint(legacy_snapshot)
+        data_dir = tmp_path / "d"
+        shutil.copytree(base, data_dir / "snapshots" / f"checkpoint-{0:020d}")
+        (data_dir / "snapshots" / f"checkpoint-{0:020d}" / "wal_position.json").write_text(
+            json.dumps({"next_seq": 0})
+        )
+        rng = np.random.default_rng(3)
+        pool = [
+            frozenset(range(6)) | {int(x) for x in rng.choice(range(6, 90), 5, replace=False)}
+            for _ in range(8)
+        ]
+        ops = [("insert", pool[:3]), ("delete", 40), ("insert", pool[3:5]), ("delete", 157)]
+        wal = WriteAheadLog.open(data_dir / "wal", fsync="off")
+        for op, arg in ops:
+            if op == "insert":
+                wal.append({"op": "insert", "points": list(arg), "key": None})
+            else:
+                wal.append({"op": "delete", "index": arg, "key": None})
+        wal.close()
+        extra = pool[5:8]
+        queries = pool[:2] + [frozenset(range(6)) | {40, 41, 42}]
+
+        def answers(nn):
+            return [(r.indices, r.value, r.stats) for r in nn.run(
+                [QueryRequest(query=q, k=3, replacement=False) for q in queries]
+            )]
+
+        # The reference never crashed: the v3 snapshot plus the same mutations.
+        reference = FairNN.load(base)
+        _apply(reference, ops + [("insert", extra)])
+        expected = answers(reference)
+
+        recovered = FairNN.recover(data_dir)
+        try:
+            assert recovered.durability()["recovered_records"] == len(ops)
+            recovered.insert_many(extra)  # journaled after the replayed suffix
+            checkpoint = recovered.checkpoint()
+            assert answers(recovered) == expected
+        finally:
+            recovered.close()
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
+        assert manifest["format_version"] == 5
+        assert (checkpoint / "arrays" / "dataset__items.npy").exists()
+
+        from_v5 = FairNN.recover(data_dir)
+        try:
+            assert from_v5.durability()["recovered_records"] == 0
+            assert answers(from_v5) == expected
+        finally:
+            from_v5.close()
+
+        (checkpoint / "arrays" / "t0_indices.npy").unlink()
+        fallback = FairNN.recover(data_dir)
+        try:
+            # Back on the v3 checkpoint: the whole journal is replayed.
+            assert fallback.durability()["recovered_records"] == len(ops) + 1
+            assert answers(fallback) == expected
+        finally:
+            fallback.close()

@@ -388,7 +388,7 @@ class TestExecutorGatherEquivalence:
         """The remote store's LRU has no lock and counts hits in read order,
         so fallback queries over it answer serially, run after run."""
         built = BatchQueryEngine.build(_make_sampler("standard_lsh"), hub_dataset)
-        save_engine(built, tmp_path / "snap", format_version=5)
+        save_engine(built, tmp_path / "snap")
         calls = parallel_fallback(True)
         store = {"backend": "remote", "cache_blocks": 2, "block_size": 8}
 

@@ -504,7 +504,7 @@ class TestHotSwap:
         dataset = list(small_set_dataset)
         nn = FairNN.from_spec(PERMUTATION_SPEC).serve(dataset)
         twin = FairNN.from_spec(PERMUTATION_SPEC).serve(dataset)
-        twin.save(tmp_path / "v5", format_version=5)
+        twin.save(tmp_path / "v5")
         queries = dataset[:8]
         canonical = FairNN.from_spec(PERMUTATION_SPEC).serve(dataset).run(
             [QueryRequest(query=q, k=2, replacement=False) for q in queries]

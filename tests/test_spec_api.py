@@ -10,7 +10,7 @@ Four guarantees are pinned down here:
    malformed input.
 3. **Bitwise-reproducible seeding** — a spec-built sampler answers seeded
    queries byte-identically to the directly constructed equivalent.
-4. **Snapshot compatibility** — format v3 snapshots persist the spec and
+4. **Snapshot compatibility** — snapshots (since format v3) persist the spec and
    serving name; pre-existing v2 snapshots (no spec keys) still load with
    identical query responses.
 """
@@ -532,7 +532,7 @@ class TestFairNNFacade:
 
 
 # ----------------------------------------------------------------------
-# 5. Snapshot format v3 (+ v2 compatibility)
+# 5. Snapshot spec persistence (+ v2 compatibility)
 # ----------------------------------------------------------------------
 class TestSnapshotSpecPersistence:
     def _serve(self, dataset):
@@ -545,10 +545,12 @@ class TestSnapshotSpecPersistence:
         return FairNN.from_spec(spec, name="fair").serve(dataset)
 
     def test_v3_snapshot_carries_spec_and_name(self, small_set_dataset, tmp_path):
+        """Format v3 added the spec and serving name to the manifest; the
+        v5 snapshots ``save`` writes carry both."""
         nn = self._serve(small_set_dataset)
         nn.save(tmp_path / "snap")
         manifest = json.loads((tmp_path / "snap" / "manifest.json").read_text())
-        assert manifest["format_version"] == 3
+        assert manifest["format_version"] == 5
         assert manifest["sampler_name"] == "fair"
         assert manifest["spec_kind"] == "engine"
         assert EngineSpec.from_dict(manifest["spec"]) == nn.spec
@@ -590,13 +592,14 @@ class TestSnapshotSpecPersistence:
         assert clone.is_dynamic is False
         assert clone.spec.dynamic is False
 
-    def test_pre_existing_v2_snapshot_still_loads(self, small_set_dataset, tmp_path):
+    def test_pre_existing_v2_snapshot_still_loads(self, legacy_snapshot):
         """A v2 snapshot (no spec/sampler_name keys) loads with identical
         query responses; only the facade loader (which needs the spec)
-        refuses it."""
-        nn = self._serve(small_set_dataset)
-        nn.save(tmp_path / "snap")
-        manifest_path = tmp_path / "snap" / "manifest.json"
+        refuses it.  The artifact is a copy of a checked-in v3 snapshot
+        with its manifest rewritten as v2."""
+        path = legacy_snapshot("minhash-k2-v3")
+        reference = load_engine(path)
+        manifest_path = path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         # Rewrite the manifest exactly as save_engine@v2 produced it: the v3
         # keys did not exist then.
@@ -605,13 +608,13 @@ class TestSnapshotSpecPersistence:
             del manifest[key]
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
-        loaded = load_engine(tmp_path / "snap")
+        loaded = load_engine(path)
         assert loaded.spec is None
-        assert loaded.sampler_name == "permutation"  # derived from the class
-        queries = list(small_set_dataset[:30])
-        assert loaded.sample_batch(queries) == nn.engine().sample_batch(queries)
+        assert loaded.sampler_name == "independent"  # derived from the class
+        queries = [p for p in reference.sampler.dataset if p is not None][:30]
+        assert loaded.sample_batch(queries) == reference.sample_batch(queries)
         with pytest.raises(InvalidParameterError, match="pre-v3"):
-            FairNN.load(tmp_path / "snap")
+            FairNN.load(path)
 
 
 # ----------------------------------------------------------------------

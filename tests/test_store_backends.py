@@ -148,7 +148,7 @@ class TestBackendIdentity:
         """Every snapshottable sampler answers identically on all backends."""
         spec, dataset, queries = _flavour_data(name, small_set_dataset, planted_unit_vectors)
         nn = FairNN.from_spec(spec).fit(dataset)
-        nn.save(tmp_path / "snap", format_version=5)
+        nn.save(tmp_path / "snap")
 
         clones = _load_three_ways(tmp_path / "snap", FairNN.load)
         backends = [clone.capacity()["store_backend"] for clone in clones]
@@ -190,7 +190,7 @@ class TestChurnedBackendIdentity:
             flavour_name, small_set_dataset, planted_unit_vectors
         )
         engine = BatchQueryEngine.build(spec.build(), dataset[:60])
-        save_engine(engine, tmp_path / "snap", format_version=5)
+        save_engine(engine, tmp_path / "snap")
 
         clones = _load_three_ways(tmp_path / "snap", load_engine)
         fresh = list(dataset[60:70])
@@ -309,7 +309,7 @@ class TestV5Corruption:
             "independent_dense", None, planted_unit_vectors
         )
         engine = BatchQueryEngine.build(spec.build(), dataset[:50])
-        save_engine(engine, tmp_path / "snap", format_version=5)
+        save_engine(engine, tmp_path / "snap")
         return tmp_path / "snap"
 
     def test_missing_array_file_raises_with_path(self, tmp_path, planted_unit_vectors):
@@ -330,14 +330,13 @@ class TestV5Corruption:
                 load_engine(snap, store=store)
             assert str(info.value.path) == str(victim)
 
-    def test_out_of_core_request_on_legacy_snapshot(self, tmp_path, planted_unit_vectors):
-        spec, dataset, _ = _flavour_data("independent_dense", None, planted_unit_vectors)
-        engine = BatchQueryEngine.build(spec.build(), dataset[:50])
-        save_engine(engine, tmp_path / "legacy")  # in-RAM engine → legacy v3
-        manifest = json.loads((tmp_path / "legacy" / "manifest.json").read_text())
+    def test_out_of_core_request_on_legacy_snapshot(self, legacy_snapshot):
+        legacy = legacy_snapshot("pstable-k1-v3")  # zipped, written by an earlier release
+        manifest = json.loads((legacy / "manifest.json").read_text())
         assert manifest["format_version"] == 3
         with pytest.raises(InvalidParameterError, match="format-5"):
-            load_engine(tmp_path / "legacy", store="memmap")
+            load_engine(legacy, store="memmap")
+        assert load_engine(legacy).num_live_points == manifest["num_live"]
 
 
 # ----------------------------------------------------------------------
@@ -412,7 +411,7 @@ class TestServingIntegration:
         spec = dataclasses.replace(CANONICAL_SPECS["permutation"][0], seed=SEED)
         dataset = list(small_set_dataset)
         nn = FairNN.from_spec(spec).fit(dataset)
-        nn.save(tmp_path / "snap", format_version=5)
+        nn.save(tmp_path / "snap")
 
         with BlockServer.from_snapshot(tmp_path / "snap") as blocks:
             served = FairNN.load(
@@ -475,6 +474,28 @@ class TestSetStoreAppend:
         for row in rows[20:]:
             adopted.append([row])
         self._assert_same(adopted, SetStore(rows), len(rows))
+
+    def test_pack_equals_the_per_row_oracle(self):
+        """One sorted pass over all rows packs as one fromiter per row
+        followed by a (row, item) lexsort did."""
+        from repro.store.inram import _pack_sets
+
+        rng = np.random.default_rng(8)
+        rows = self._rows(60, seed=6) + [None, frozenset(), frozenset({-(2**62), 2**62, 0})]
+        rows += [frozenset(int(x) for x in rng.integers(-(2**40), 2**40, size=9))]
+        rows += [{np.int64(5), 3, np.int32(-1)}, None]
+        lengths = np.asarray([0 if row is None else len(row) for row in rows], dtype=np.int64)
+        items = np.concatenate(
+            [np.fromiter(row, dtype=np.int64, count=len(row)) for row in rows if row]
+        )
+        row_ids = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
+        expected = items[np.lexsort((items, row_ids))]
+        indptr, packed = _pack_sets(rows)
+        assert indptr.tolist() == [0] + np.cumsum(lengths).tolist()
+        assert packed.dtype == np.int64 and packed.tolist() == expected.tolist()
+        assert _pack_sets([None, frozenset()])[1].size == 0
+        with pytest.raises(TypeError):
+            _pack_sets([frozenset({1}), frozenset({"a", "b"})])
 
     def test_memmap_overlay_appends_share_the_growth(self, tmp_path):
         rows = self._rows(40, seed=5)

@@ -13,7 +13,10 @@ are kept here unchanged as oracles:
   bucket, or a dict insert per point for other key types;
 * :func:`oracle_pack_tables` — separate index, rank and size lists per
   bucket;
-* :func:`oracle_restore_table` — one ``Bucket`` per key, sliced in a loop.
+* :func:`oracle_restore_table` — one ``Bucket`` per key, sliced in a loop;
+* :func:`oracle_encode_keys` — the bucket key encoder that converted a key
+  list to an array with one ``np.asarray`` call (``_encode_keys`` now
+  flattens tuple keys in one ``np.fromiter`` pass and must decide alike).
 
 The build, the packed arrays and the restored tables must equal the
 oracles' exactly: keys (the same Python objects: an ``int`` for ``K = 1``,
@@ -23,8 +26,9 @@ a tuple of ``int`` otherwise), key order, members, ranks and dtypes.
 :func:`write_snapshots` wrote with the release before the code-matrix build,
 and the answers that release gave after loading them
 (``expected.json``).  They must still load and answer identically, and the
-current code must write the same table arrays and bucket keys for the same
-engines.
+current code, which writes v5 only, must write the same table arrays and
+bucket keys for the same engines.  A v3 case's pack and round-trip checks
+start from the engine loaded from its checked-in snapshot.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import pytest
 
 from repro.core import IndependentFairSampler, PermutationFairSampler
 from repro.engine import BatchQueryEngine, load_engine, save_engine
-from repro.engine.snapshot import _decode_keys, _pack_tables, _restore_table
+from repro.engine.snapshot import _decode_keys, _encode_keys, _pack_tables, _restore_table
 from repro.lsh import (
     HyperplaneFamily,
     LSHTables,
@@ -124,6 +128,24 @@ def oracle_pack_tables(tables, arrays: Dict[str, np.ndarray]) -> List[List[Hasha
                 else np.empty(0, dtype=np.int64)
             )
     return bucket_keys
+
+
+def oracle_encode_keys(keys, name: str, arrays: Dict[str, np.ndarray]):
+    if keys and all(type(k) is int for k in keys):
+        arrays[name] = np.asarray(keys, dtype=np.int64)
+        return {"__bucket_keys__": "ints", "array": name}
+    if (
+        keys
+        and all(type(k) is tuple for k in keys)
+        and len({len(k) for k in keys}) == 1
+        and all(type(v) is int for v in keys[0])
+    ):
+        try:
+            arrays[name] = np.asarray(keys, dtype=np.int64)
+        except (ValueError, OverflowError, TypeError):
+            return keys
+        return {"__bucket_keys__": "int_tuples", "array": name}
+    return keys
 
 
 def oracle_restore_table(arrays, table_index: int, keys: List[Hashable], has_ranks: bool) -> dict:
@@ -347,16 +369,27 @@ def _split(case: str):
 
 
 def write_snapshots(directory: pathlib.Path) -> None:
-    """Write every case's snapshot and the answers after loading it.
+    """Write every v5 case's snapshot and the answers after loading it.
 
-    Run as ``PYTHONPATH=src python tests/test_table_build.py <directory>``.
+    ``save_engine`` writes v5 only: the v3 cases and their answers, written
+    by an earlier release, are kept from an ``expected.json`` already in
+    *directory*.  Run as
+    ``PYTHONPATH=src python tests/test_table_build.py <directory>``.
     """
-    expected = {}
+    path = directory / "expected.json"
+    expected = json.loads(path.read_text()) if path.exists() else {}
     for case in _CASES:
         name, version = _split(case)
-        save_engine(make_engine(name), directory / case, format_version=version)
-        expected[case] = play(load_engine(directory / case), name)
-    (directory / "expected.json").write_text(json.dumps(expected, indent=1) + "\n")
+        if version == 5:
+            save_engine(make_engine(name), directory / case)
+            expected[case] = play(load_engine(directory / case), name)
+    path.write_text(json.dumps(expected, indent=1) + "\n")
+
+
+def _source_engine(case: str) -> BatchQueryEngine:
+    """A v5 case's engine built now, or a v3 case's loaded from its snapshot."""
+    name, version = _split(case)
+    return make_engine(name) if version == 5 else load_engine(SNAPSHOTS / case)
 
 
 def _saved_arrays(directory: pathlib.Path) -> Dict[str, np.ndarray]:
@@ -390,10 +423,9 @@ def _saved_bucket_keys(directory: pathlib.Path, arrays) -> list:
 class TestSnapshotRoundTrip:
     @pytest.mark.parametrize("case", _CASES)
     def test_pack_equals_the_per_bucket_oracle(self, case):
-        name, version = _split(case)
-        tables = make_engine(name).tables
+        tables = _source_engine(case).tables
         arrays: Dict[str, np.ndarray] = {}
-        bucket_keys = _pack_tables(tables, arrays, npy=version == 5)
+        bucket_keys = _pack_tables(tables, arrays)
         expected_arrays: Dict[str, np.ndarray] = {}
         expected_keys = oracle_pack_tables(tables, expected_arrays)
         assert [_keys_list(entry, arrays) for entry in bucket_keys] == expected_keys
@@ -405,9 +437,8 @@ class TestSnapshotRoundTrip:
 
     @pytest.mark.parametrize("case", _CASES)
     def test_every_table_round_trips_exactly(self, case, tmp_path):
-        name, version = _split(case)
-        engine = make_engine(name)
-        save_engine(engine, tmp_path / "snap", format_version=version)
+        engine = _source_engine(case)
+        save_engine(engine, tmp_path / "snap")
         loaded = load_engine(tmp_path / "snap")
         assert_same_tables(loaded.tables._tables, engine.tables._tables)
         # The restore equals the per-bucket loop over the same arrays.
@@ -422,8 +453,7 @@ class TestSnapshotRoundTrip:
             entry = _decode_keys(raw_keys[table_index], arrays)
             assert_same_table(_restore_table(arrays, table_index, entry, has_ranks), table)
 
-    @pytest.mark.parametrize("version", [3, 5])
-    def test_a_nested_and_composition_round_trips(self, version, tmp_path):
+    def test_a_nested_and_composition_round_trips(self, tmp_path):
         """A sampler given ``H^2`` with ``num_hashes = 3`` keys its tables by
         tuples of tuples; the snapshot holds exactly its ``L`` tables."""
         sampler = IndependentFairSampler(
@@ -433,7 +463,7 @@ class TestSnapshotRoundTrip:
         engine = BatchQueryEngine.build(sampler, item_sets(9, 120), seed=6)
         assert engine.tables.num_tables == len(engine.tables._tables) == 4
         queries = item_sets(21, 40)[:8]
-        save_engine(engine, tmp_path / "snap", format_version=version)
+        save_engine(engine, tmp_path / "snap")
         loaded = load_engine(tmp_path / "snap")
         assert_same_tables(loaded.tables._tables, engine.tables._tables)
         assert loaded.sample_batch(queries) == engine.sample_batch(queries)
@@ -442,15 +472,74 @@ class TestSnapshotRoundTrip:
         engine = make_engine("minhash-k2")
         for index in np.flatnonzero(engine.tables.alive).tolist():
             engine.delete(index)
-        for version in (3, 5):
-            save_engine(engine, tmp_path / f"v{version}", format_version=version)
-            loaded = load_engine(tmp_path / f"v{version}")
-            assert all(table == {} for table in loaded.tables._tables)
-            arrays = _saved_arrays(tmp_path / f"v{version}")
-            assert arrays["t0_indices"].dtype == np.intp and arrays["t0_indices"].size == 0
-            assert arrays["t0_ranks"].dtype == np.int64 and arrays["t0_ranks"].size == 0
-            assert arrays["t0_offsets"].tolist() == [0]
+        save_engine(engine, tmp_path / "snap")
+        loaded = load_engine(tmp_path / "snap")
+        assert all(table == {} for table in loaded.tables._tables)
+        arrays = _saved_arrays(tmp_path / "snap")
+        assert arrays["t0_indices"].dtype == np.intp and arrays["t0_indices"].size == 0
+        assert arrays["t0_ranks"].dtype == np.int64 and arrays["t0_ranks"].size == 0
+        assert arrays["t0_offsets"].tolist() == [0]
 
+
+# ----------------------------------------------------------------------
+# Bucket key encoding
+# ----------------------------------------------------------------------
+_KEY_LISTS = {
+    "empty": [],
+    "ints": [3, -1, 2**62, 0],
+    "pairs": [(1, 2), (3, -4), (2**40, 0)],
+    "triples": [(1, 2, 3), (4, 5, 6)],
+    "zero_width": [(), ()],
+    "numpy_ints": [np.int64(1), np.int64(2)],
+    "numpy_int_first_tuple": [(np.int64(1), 2), (3, 4)],
+    "numpy_int_later_tuple": [(1, 2), (np.int32(3), 4)],
+    "ragged": [(1, 2), (3,)],
+    "ragged_same_total": [(1, 2), (3,), (4, 5, 6)],
+    "strings": ["a", "b"],
+    "string_tuples": [("a", 1), ("b", 2)],
+    "float_first": [(1.0, 2), (3, 4)],
+    "float_later": [(1, 2), (3, 4.5)],
+    "bool_first": [(True, 2), (3, 4)],
+    "int_then_tuple": [1, (2, 3)],
+    "tuple_then_int": [(2, 3), 1],
+    "tuple_then_list": [(2, 3), [4, 5]],
+    "nested": [((1, 2), (3, 4)), ((5, 6), (7, 8))],
+    "nested_later": [(1, 2), ((3,), 4)],
+    "none_later": [(1, 2), (None, 4)],
+    "overflow_later": [(1, 2), (2**64, 4)],
+}
+
+
+class TestKeyEncoding:
+    @pytest.mark.parametrize("kind", sorted(_KEY_LISTS))
+    def test_decides_and_encodes_as_the_oracle(self, kind):
+        keys = _KEY_LISTS[kind]
+        arrays: Dict[str, np.ndarray] = {}
+        expected_arrays: Dict[str, np.ndarray] = {}
+        entry = _encode_keys(keys, "t0_keys", arrays)
+        expected = oracle_encode_keys(keys, "t0_keys", expected_arrays)
+        assert entry == expected
+        assert (entry is keys) == (expected is keys)
+        assert arrays.keys() == expected_arrays.keys()
+        for name, array in expected_arrays.items():
+            assert arrays[name].dtype == array.dtype
+            assert arrays[name].shape == array.shape
+            assert np.array_equal(arrays[name], array)
+
+    @pytest.mark.parametrize("case", _CASES)
+    def test_real_table_keys_encode_as_the_oracle(self, case):
+        tables = _source_engine(case).tables
+        for table in tables._tables:
+            keys = list(table)
+            arrays: Dict[str, np.ndarray] = {}
+            expected_arrays: Dict[str, np.ndarray] = {}
+            assert _encode_keys(keys, "k", arrays) == oracle_encode_keys(
+                keys, "k", expected_arrays
+            )
+            assert arrays.keys() == expected_arrays.keys()
+            for name, array in expected_arrays.items():
+                assert arrays[name].dtype == array.dtype
+                assert np.array_equal(arrays[name], array)
 
 
 # ----------------------------------------------------------------------
@@ -470,12 +559,16 @@ class TestCheckedInSnapshots:
     def test_this_build_writes_the_same_tables(self, case, tmp_path):
         """The same engine, built and saved now, writes the checked-in
         arrays and bucket keys: the build and the pack leave every table
-        as the release before them did."""
+        as the release before them did.  The v5 write holds every array of
+        the v3 one, plus the dataset and the bucket keys."""
         name, version = _split(case)
-        save_engine(make_engine(name), tmp_path / case, format_version=version)
+        save_engine(make_engine(name), tmp_path / case)
         saved = _saved_arrays(SNAPSHOTS / case)
         written = _saved_arrays(tmp_path / case)
-        assert written.keys() == saved.keys()
+        if version == 5:
+            assert written.keys() == saved.keys()
+        else:
+            assert saved.keys() < written.keys()
         for array_name, array in saved.items():
             assert written[array_name].dtype == array.dtype, array_name
             assert np.array_equal(written[array_name], array), array_name

@@ -72,7 +72,7 @@ def build(workdir: pathlib.Path) -> None:
     points = np.ascontiguousarray(points)
 
     engine = BatchQueryEngine.build(_spec().build(), points)
-    save_engine(engine, workdir / "snapshot", format_version=5)
+    save_engine(engine, workdir / "snapshot")
 
     query_rows = rng.choice(N_POINTS, size=N_QUERIES, replace=False)
     queries = np.ascontiguousarray(points[query_rows])
